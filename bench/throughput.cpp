@@ -7,7 +7,8 @@
 //                               (generate_batch; the floor every pipeline
 //                               number sits on);
 //   single_robust_exact       — one robust lane into the exact ReducerSink,
-//                               scalar and batched drives (the batched/scalar
+//                               scalar (a per-record step() loop) and batched
+//                               (the chunked run()) drives (the batched/scalar
 //                               ratio is the headline of the batch lane);
 //   single_robust_estimate    — one robust lane, batched, NO sink attached:
 //                               isolates estimator cost for the stage
@@ -241,7 +242,11 @@ BenchReport measure(double days, const std::string& mode) {
             session_config_for(testbed.config()), testbed.nominal_period());
         harness::ReducerSink reducer(testbed.config().poll_period);
         session.add_sink(reducer);
-        return session.run(testbed).exchanges;
+        // The per-record drive: one step() per exchange.
+        while (session.step(testbed)) {
+        }
+        session.set_polls_enumerated(testbed.polls_enumerated());
+        return session.summary().exchanges;
       }));
 
   report.results.push_back(timed(
@@ -251,7 +256,7 @@ BenchReport measure(double days, const std::string& mode) {
             session_config_for(testbed.config()), testbed.nominal_period());
         harness::ReducerSink reducer(testbed.config().poll_period);
         session.add_sink(reducer);
-        return session.run_batched(testbed).exchanges;
+        return session.run(testbed).exchanges;
       }));
 
   report.results.push_back(timed(
@@ -259,7 +264,7 @@ BenchReport measure(double days, const std::string& mode) {
       [](sim::Testbed& testbed) {
         harness::ClockSession session(
             session_config_for(testbed.config()), testbed.nominal_period());
-        return session.run_batched(testbed).exchanges;
+        return session.run(testbed).exchanges;
       }));
 
   report.results.push_back(timed(
@@ -269,7 +274,7 @@ BenchReport measure(double days, const std::string& mode) {
             session_config_for(testbed.config()), testbed.nominal_period());
         harness::StreamingReducerSink reducer(testbed.config().poll_period);
         session.add_sink(reducer);
-        return session.run_batched(testbed).exchanges;
+        return session.run(testbed).exchanges;
       }));
 
   report.results.push_back(timed(
@@ -294,7 +299,7 @@ BenchReport measure(double days, const std::string& mode) {
         session.add_sink(robust, reducers[0]);
         session.add_sink(swntp, reducers[1]);
         session.add_sink(naive, reducers[2]);
-        session.run_batched(testbed);
+        session.run(testbed);
         return session.lane(robust).summary().exchanges;
       }));
 

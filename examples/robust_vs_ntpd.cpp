@@ -5,8 +5,10 @@
 // rate by tens of PPM; the TSC-NTP clock never steps and its difference
 // clock stays within the hardware bound.
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <memory>
+#include <unordered_map>
 #include <vector>
 
 #include "baseline/swntp.hpp"
@@ -66,12 +68,12 @@ int main() {
   std::printf("%8s %14s %14s %10s\n", "hour", "TSC-NTP err", "SW-NTP err",
               "SW steps");
   int next_report = 2;
-  // Lanes process each exchange in order, so by the time the SW lane's sink
-  // fires the TSC lane has already scored the same packet — the progress
-  // printout can show both.
-  double last_tsc_error = 0;
+  // Lanes consume each chunk in the order they were added, so by the time
+  // the SW lane's sink fires the TSC lane has already scored the same packet
+  // — the progress printout looks its error up by poll index.
+  std::unordered_map<std::uint64_t, double> tsc_error_at;
   harness::CallbackSink tsc_sink([&](const harness::SampleRecord& rec) {
-    last_tsc_error = rec.abs_clock_error;
+    tsc_error_at[rec.index] = rec.abs_clock_error;
     tsc_abs.push_back(std::fabs(rec.abs_clock_error));
   });
   harness::CallbackSink sw_sink([&](const harness::SampleRecord& rec) {
@@ -84,7 +86,7 @@ int main() {
     const double hour = rec.truth_tb / duration::kHour;
     if (hour >= next_report) {
       std::printf("%8.1f %12.1fus %12.1fus %10s\n", hour,
-                  last_tsc_error * 1e6, e_sw * 1e6,
+                  tsc_error_at.at(rec.index) * 1e6, e_sw * 1e6,
                   format_count(sw.status().steps).c_str());
       next_report += 2;
     }

@@ -8,13 +8,6 @@
 
 namespace tscclock::harness {
 
-namespace {
-/// Same chunk size as ClockSession::run_batched — part of the 1-client
-/// bit-identity contract (identical generate_batch/process_batch call
-/// sequence, hence identical draws and emission order).
-constexpr std::size_t kFleetChunk = 1024;
-}  // namespace
-
 std::size_t FleetSession::add_client(
     const SessionConfig& config, std::unique_ptr<ClockEstimator> estimator) {
   const std::size_t k = clients_.size();
@@ -40,7 +33,7 @@ void FleetSession::run_batched(sim::FleetTestbed& fleet) {
   TSC_EXPECTS(clients_.size() == fleet.client_count());
   demux_.resize(clients_.size());
   while (true) {
-    const std::size_t n = fleet.generate_batch(batch_, kFleetChunk);
+    const std::size_t n = fleet.generate_batch(batch_, kDriveChunk);
     if (n > 0) {
       // Scatter the merged chunk back into per-client SoA batches. Within a
       // chunk each client's rows stay in merge (= generation) order, so the
@@ -52,7 +45,7 @@ void FleetSession::run_batched(sim::FleetTestbed& fleet) {
         if (!demux_[k].empty()) clients_[k]->process_batch(demux_[k]);
       }
     }
-    if (n < kFleetChunk) break;  // fleet ran dry
+    if (n < kDriveChunk) break;  // fleet ran dry
   }
   for (std::size_t k = 0; k < clients_.size(); ++k)
     clients_[k]->set_polls_enumerated(fleet.client(k).polls_enumerated());

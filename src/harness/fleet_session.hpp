@@ -3,10 +3,10 @@
 //
 // The session demultiplexes the merged FleetBatch chunk by chunk into
 // per-client SoA batches and feeds each client's ClockSession through the
-// existing batched lanes — a 1-client FleetSession therefore performs
-// exactly the calls ClockSession::run_batched(Testbed&) performs, with the
-// identical chunking, which is what pins the single-client fleet drive
-// bit-identical to the classic one (tests/test_fleet.cpp).
+// same ClockSession::process_batch — a 1-client FleetSession therefore
+// performs exactly the calls ClockSession::run(Testbed&) performs, with the
+// identical kDriveChunk chunking, which is what pins the single-client fleet
+// drive bit-identical to the classic one (tests/test_fleet.cpp).
 #pragma once
 
 #include <memory>

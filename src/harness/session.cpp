@@ -7,10 +7,18 @@ namespace tscclock::harness {
 
 namespace {
 
-/// Exchanges pulled from the testbed per process_batch round in the batched
-/// drives: large enough to amortize the per-batch sink flush, small enough
-/// to keep the working set (~200 bytes/exchange) inside L2.
-constexpr std::size_t kBatchChunk = 1024;
+/// The session drive: generate the testbed's stream in kDriveChunk-row SoA
+/// chunks and feed each to `session.process_batch` until the duration runs
+/// out.
+template <typename Session>
+void drain_in_chunks(sim::Testbed& testbed, Session& session) {
+  sim::ExchangeBatch batch;
+  while (true) {
+    const std::size_t n = testbed.generate_batch(batch, kDriveChunk);
+    if (n > 0) session.process_batch(batch);
+    if (n < kDriveChunk) break;  // duration exhausted
+  }
+}
 
 }  // namespace
 
@@ -118,57 +126,11 @@ void ClockSession::process(const sim::Exchange& ex) {
   if (record.evaluated || config_.emit_unevaluated) emit(record);
 }
 
-void ClockSession::process_batch(std::span<const sim::Exchange> exchanges) {
-  for (auto* sink : sinks_) {
-    if (!sink->wants_batch()) {
-      // A record-shaped sink is attached: run the scalar sequence so every
-      // sink (including batch-aware ones, via their on_sample) observes the
-      // stream exactly as process() emits it.
-      for (const auto& ex : exchanges) process(ex);
-      return;
-    }
-  }
-
-  // Fast lane: every sink is batch-aware (or none is attached). Same
-  // estimator/detector/recorder sequence as process(), but no SampleRecord
-  // is built and no per-record virtual dispatch happens; the evaluated
-  // series accumulate into batch_ and flush once. Every accumulated value
-  // is computed by the very expressions process() uses, so the lane is
-  // bit-identical to the scalar one.
-  batch_.clear();
-  batch_.reserve(exchanges.size());
-  for (const auto& ex : exchanges) {
-    if (recorder_) recorder_->observe(ex);
-    ++summary_.exchanges;
-    if (ex.lost) {
-      ++summary_.lost;
-      continue;  // batch sinks never consume unevaluated records
-    }
-    if (config_.track_server_changes &&
-        server_changes_.observe(
-            core::ServerIdentity{ex.server_id, ex.server_stratum}, ex.index))
-      estimator_->notify_server_change();
-    const core::RawExchange raw{ex.ta_counts, ex.tb_stamp, ex.te_stamp,
-                                ex.tf_counts};
-    const auto report = estimator_->process_exchange(raw);
-    if (!ex.ref_available || exchange_in_warmup(config_, ex)) continue;
-    const Seconds reference_offset =
-        estimator_->uncorrected_time(ex.tf_counts) - ex.tg;
-    const Seconds offset_error = report.offset_estimate - reference_offset;
-    const Seconds abs_clock_error =
-        estimator_->absolute_time(ex.tf_counts) - ex.tg;
-    ++summary_.evaluated;
-    batch_.push(ex.tb_stamp, abs_clock_error, offset_error);
-  }
-  for (auto* sink : sinks_) sink->on_batch(batch_);
-}
-
 void ClockSession::process_batch(const sim::ExchangeBatch& batch) {
   for (auto* sink : sinks_) {
     if (!sink->wants_batch()) {
-      // A record-shaped sink is attached: materialize each row and run the
-      // scalar sequence, so every sink observes the stream exactly as
-      // process() emits it.
+      // A record-shaped sink is attached: materialize each row into
+      // process(), so every sink observes the per-record stream.
       for (std::size_t i = 0; i < batch.size(); ++i) {
         batch.materialize(i, scratch_);
         process(scratch_);
@@ -180,7 +142,7 @@ void ClockSession::process_batch(const sim::ExchangeBatch& batch) {
   // Fast lane: columns in, columns out. Same estimator/detector/recorder
   // sequence as process(), reading the SoA stream directly; every
   // accumulated value is computed by the very expressions process() uses,
-  // so the lane is bit-identical to the scalar one.
+  // so the lane is bit-identical to the per-record one.
   batch_.clear();
   batch_.reserve(batch.size());
   for (std::size_t i = 0; i < batch.size(); ++i) {
@@ -224,19 +186,7 @@ bool ClockSession::step(sim::Testbed& testbed) {
 }
 
 const SessionSummary& ClockSession::run(sim::Testbed& testbed) {
-  while (step(testbed)) {
-  }
-  set_polls_enumerated(testbed.polls_enumerated());
-  return summary();
-}
-
-const SessionSummary& ClockSession::run_batched(sim::Testbed& testbed) {
-  sim::ExchangeBatch batch;
-  while (true) {
-    const std::size_t n = testbed.generate_batch(batch, kBatchChunk);
-    if (n > 0) process_batch(batch);
-    if (n < kBatchChunk) break;  // duration exhausted
-  }
+  drain_in_chunks(testbed, *this);
   set_polls_enumerated(testbed.polls_enumerated());
   return summary();
 }
@@ -289,18 +239,6 @@ const ClockSession& MultiEstimatorSession::lane(std::size_t index) const {
   return *lanes_[index];
 }
 
-void MultiEstimatorSession::process(const sim::Exchange& exchange) {
-  if (recorder_) recorder_->observe(exchange);
-  for (auto& lane : lanes_) lane->process(exchange);
-}
-
-void MultiEstimatorSession::process_batch(
-    std::span<const sim::Exchange> exchanges) {
-  if (recorder_)
-    for (const auto& ex : exchanges) recorder_->observe(ex);
-  for (auto& lane : lanes_) lane->process_batch(exchanges);
-}
-
 void MultiEstimatorSession::process_batch(const sim::ExchangeBatch& batch) {
   if (recorder_) {
     for (std::size_t i = 0; i < batch.size(); ++i) {
@@ -311,28 +249,8 @@ void MultiEstimatorSession::process_batch(const sim::ExchangeBatch& batch) {
   for (auto& lane : lanes_) lane->process_batch(batch);
 }
 
-bool MultiEstimatorSession::step(sim::Testbed& testbed) {
-  auto exchange = testbed.next();
-  if (!exchange) return false;
-  process(*exchange);
-  return true;
-}
-
 void MultiEstimatorSession::run(sim::Testbed& testbed) {
-  while (step(testbed)) {
-  }
-  for (auto& lane : lanes_)
-    lane->set_polls_enumerated(testbed.polls_enumerated());
-  if (recorder_) recorder_->set_polls_enumerated(testbed.polls_enumerated());
-}
-
-void MultiEstimatorSession::run_batched(sim::Testbed& testbed) {
-  sim::ExchangeBatch batch;
-  while (true) {
-    const std::size_t n = testbed.generate_batch(batch, kBatchChunk);
-    if (n > 0) process_batch(batch);
-    if (n < kBatchChunk) break;  // duration exhausted
-  }
+  drain_in_chunks(testbed, *this);
   for (auto& lane : lanes_)
     lane->set_polls_enumerated(testbed.polls_enumerated());
   if (recorder_) recorder_->set_polls_enumerated(testbed.polls_enumerated());

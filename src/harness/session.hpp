@@ -6,7 +6,8 @@
 // the DAG reference monitor. ClockSession owns that exchange-processing
 // sequence exactly once:
 //
-//   1. drain the Testbed (loss accounting for exchanges that never arrive);
+//   1. drain the Testbed in kDriveChunk-row SoA chunks (loss accounting for
+//      exchanges that never arrive);
 //   2. feed each reply's transport identity to a ServerChangeDetector and
 //      forward changes via ClockEstimator::notify_server_change() (identity
 //      lives on the transport endpoint, not the NTP reference-id field —
@@ -40,7 +41,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "common/time_types.hpp"
@@ -54,6 +54,14 @@ namespace tscclock::harness {
 
 class TraceRecorder;  // harness/replay.hpp
 struct ReplayTrace;   // harness/replay.hpp
+
+/// Rows per generate_batch → process_batch round of every session drive
+/// (ClockSession::run, MultiEstimatorSession::run, FleetSession::run_batched):
+/// large enough to amortize the per-chunk sink flush, small enough to keep
+/// the working set inside L2. One constant for all drives is part of the
+/// 1-client fleet bit-identity contract (identical call sequence, hence
+/// identical draws and emission order).
+inline constexpr std::size_t kDriveChunk = 1024;
 
 /// Which timebase the warm-up discard cut uses.
 enum class WarmupPolicy {
@@ -195,7 +203,7 @@ class SampleSink {
   /// {raw.tb, abs_clock_error, offset_error} of *evaluated* records (the
   /// reducers) should opt in; record-shaped consumers keep the default.
   /// Batch-aware sinks must still implement on_sample identically — the
-  /// scalar lane and mixed-sink sessions feed them per record.
+  /// per-record process() path and mixed-sink sessions feed them per record.
   [[nodiscard]] virtual bool wants_batch() const { return false; }
 
   /// Batched delivery; invoked only from process_batch, and only when every
@@ -222,46 +230,38 @@ class ClockSession {
 
   /// Process one exchange through the canonical sequence. Exposed so
   /// consumers that interleave other work between polls (e.g. the one-way
-  /// delay example) or replay perturbed exchange vectors still share it.
+  /// delay example, which reads the oscillator between polls) still share
+  /// it; process_batch degrades to it for record-shaped sinks.
   void process(const sim::Exchange& exchange);
 
-  /// Process a batch of exchanges through the identical canonical sequence.
-  /// When every attached sink wants_batch() (the sweep/bench reducer case),
-  /// the loop skips SampleRecord construction and per-record virtual sink
-  /// dispatch, accumulating the evaluated {tb, abs_clock_error, offset_error}
-  /// series into one SampleBatch flushed to the sinks via on_batch() — the
-  /// emitted values are bit-identical to the scalar lane's. With any
-  /// record-shaped sink attached it degrades to per-record process() calls,
-  /// so CallbackSink's read-the-clock-after-each-exchange semantics hold.
-  void process_batch(std::span<const sim::Exchange> exchanges);
-
   /// Process a generator-written SoA batch (sim::Testbed::generate_batch)
-  /// through the identical canonical sequence, reading columns directly —
-  /// no Exchange row is built on the fast lane. With a record-shaped sink
-  /// attached (or a trace recorder), rows are materialized one scratch
-  /// Exchange at a time, so every record-shaped consumer observes exactly
-  /// the scalar stream. run_batched drives this overload.
+  /// through the identical canonical sequence. When every attached sink
+  /// wants_batch() (the sweep/bench reducer case), it reads columns
+  /// directly, skips SampleRecord construction and per-record virtual sink
+  /// dispatch, and flushes the evaluated {tb, abs_clock_error, offset_error}
+  /// series to the sinks via one on_batch() — values bit-identical to
+  /// process()'s. With any record-shaped sink attached, rows are
+  /// materialized one scratch Exchange at a time into process(), so every
+  /// sink observes exactly the per-record stream. run() drives this.
   void process_batch(const sim::ExchangeBatch& batch);
 
   /// Pull one exchange from the testbed and process it. Returns false when
-  /// the testbed's configured duration is exhausted.
+  /// the testbed's configured duration is exhausted. For consumers that
+  /// must act between polls; everything else calls run().
   bool step(sim::Testbed& testbed);
 
-  /// Drain the whole testbed and return the final summary.
+  /// Drain the whole testbed — Testbed::generate_batch → process_batch in
+  /// kDriveChunk-row chunks — and return the final summary. Generation runs
+  /// up to one chunk ahead of the sinks, so a sink must not read the
+  /// testbed; use step() to interleave such reads.
   const SessionSummary& run(sim::Testbed& testbed);
-
-  /// Drain the whole testbed through the batched lane (the SoA stream:
-  /// Testbed::generate_batch → process_batch(ExchangeBatch) in fixed-size
-  /// chunks). Same summary, same sink-visible values as run(); this is the
-  /// hot-path drive the sweep uses.
-  const SessionSummary& run_batched(sim::Testbed& testbed);
 
   /// The summary so far (final_status is refreshed on access).
   const SessionSummary& summary();
 
   /// Record the testbed's poll-slot count after an external drain (run()
-  /// does this itself; MultiEstimatorSession drives process() directly and
-  /// back-fills each lane through this). Forwarded to the trace recorder
+  /// does this itself; MultiEstimatorSession drives process_batch() directly
+  /// and back-fills each lane through this). Forwarded to the trace recorder
   /// when one is attached.
   void set_polls_enumerated(std::uint64_t polls);
 
@@ -295,7 +295,7 @@ class ClockSession {
 
 /// Fan one exchange stream into N estimators: every lane is a full
 /// ClockSession (own estimator, own ServerChangeDetector, own warm-up
-/// bookkeeping, own sink chain) fed the identical sim::Exchange sequence.
+/// bookkeeping, own sink chain) fed the identical exchange sequence.
 /// This is the drive layer for every head-to-head comparison — the legacy
 /// pattern of co-driving a baseline clock from a CallbackSink is replaced by
 /// one lane per algorithm, all scored by the same pipeline.
@@ -304,9 +304,10 @@ class MultiEstimatorSession {
   MultiEstimatorSession();
   ~MultiEstimatorSession();  // out-of-line: TraceRecorder is incomplete here
 
-  /// Add a lane; returns its index. Lanes process each exchange in the
-  /// order they were added (they are independent, so order only affects
-  /// sink callback interleaving within one exchange).
+  /// Add a lane; returns its index. Lanes process each chunk in the order
+  /// they were added; they are independent, so order only affects the
+  /// interleaving of sink callbacks across lanes, which no one lane can
+  /// observe.
   std::size_t add_lane(const SessionConfig& config,
                        std::unique_ptr<ClockEstimator> estimator);
 
@@ -326,34 +327,15 @@ class MultiEstimatorSession {
   [[nodiscard]] ClockSession& lane(std::size_t index);
   [[nodiscard]] const ClockSession& lane(std::size_t index) const;
 
-  /// Process one exchange through every lane.
-  void process(const sim::Exchange& exchange);
-
-  /// Process a batch of exchanges: the shared recorder observes each
-  /// exchange once, then every lane consumes the whole batch through
-  /// ClockSession::process_batch. Lane state and every sink-visible value
-  /// are identical to per-exchange process(); only the interleaving of sink
-  /// callbacks *across lanes* within a batch differs (lanes are
-  /// independent, so this is unobservable through any one lane).
-  void process_batch(std::span<const sim::Exchange> exchanges);
-
   /// SoA batch into every lane: the shared recorder observes each row once
   /// (materialized through one scratch Exchange), then every lane consumes
-  /// the columns through ClockSession::process_batch(ExchangeBatch).
+  /// the whole batch through ClockSession::process_batch. Every lane sees
+  /// exactly what a standalone ClockSession would.
   void process_batch(const sim::ExchangeBatch& batch);
 
-  /// Pull one exchange from the testbed into every lane. Returns false when
-  /// the testbed's configured duration is exhausted.
-  bool step(sim::Testbed& testbed);
-
-  /// Drain the whole testbed through every lane and back-fill each lane's
-  /// poll-slot count.
+  /// Drain the whole testbed through every lane in kDriveChunk-row chunks
+  /// and back-fill each lane's poll-slot count.
   void run(sim::Testbed& testbed);
-
-  /// Batched run(): Testbed::generate_batch → process_batch(ExchangeBatch)
-  /// in fixed-size chunks. Same final state as run(); the sweep's default
-  /// drive.
-  void run_batched(sim::Testbed& testbed);
 
  private:
   std::vector<std::unique_ptr<ClockSession>> lanes_;

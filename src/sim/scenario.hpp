@@ -24,7 +24,6 @@
 #pragma once
 
 #include <optional>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -100,7 +99,7 @@ struct ExchangeTruth {
 /// One completed (or lost) NTP exchange as seen by the host and the monitor.
 struct Exchange {
   std::uint64_t index = 0;  ///< poll sequence number
-  bool lost = false;        ///< no reply reached the host
+  bool lost = false;  ///< no reply reached the host, or it came too late
 
   // What the synchronization algorithm sees:
   TscCount ta_counts = 0;  ///< host TSC stamp before send
@@ -126,11 +125,11 @@ struct Exchange {
 };
 
 /// Struct-of-arrays exchange stream: one column per Exchange field, filled
-/// directly by ClientNode::generate_batch so the generator writes columns
-/// and the session's batched fast lane reads them without ever materializing
-/// ~200-byte Exchange rows. Row i across all columns reconstructs exactly
-/// the Exchange next() would have produced (materialize(); columns a loss
-/// left unproduced hold the same zeros as a default Exchange field).
+/// by ClientNode::generate_batch so the session drive's fast lane reads
+/// columns instead of ~200-byte Exchange rows. Row i across all columns
+/// reconstructs exactly the Exchange next() would have produced
+/// (materialize(); columns a loss left unproduced hold the same zeros as a
+/// default Exchange field).
 struct ExchangeBatch {
   std::vector<std::uint64_t> index;
   std::vector<std::uint8_t> lost;
@@ -155,19 +154,18 @@ struct ExchangeBatch {
   [[nodiscard]] std::size_t size() const { return index.size(); }
   [[nodiscard]] bool empty() const { return index.empty(); }
   void clear();
-  void reserve(std::size_t rows);
   /// Set every column to `rows` elements (new tail value-initialized).
   /// generate_batch() sizes the batch up front and writes rows by index —
   /// cheaper than 18 push_backs per row — then trims to the produced count.
   void resize(std::size_t rows);
 
-  /// Reconstruct row i as the Exchange the scalar stream would have
-  /// produced (for record-shaped consumers: trace recorders and sessions
-  /// degrading to per-record processing).
+  /// Reconstruct row i as the Exchange next() produced (for record-shaped
+  /// consumers: trace recorders and sessions degrading to per-record
+  /// processing).
   void materialize(std::size_t i, Exchange& out) const;
 
-  /// Inverse of materialize: write `in` into row i (the fleet merge path,
-  /// which interleaves per-client scalar streams into SoA columns).
+  /// Inverse of materialize: write `in` into row i (how generate_batch and
+  /// the fleet merge fill SoA columns from next_into() rows).
   void store(std::size_t i, const Exchange& in);
 
   /// Append row i of `src` to this batch (the fleet demux path: one merged
@@ -203,7 +201,9 @@ class ClientNode {
 
   /// Generate the next exchange; std::nullopt when `duration` is exhausted.
   /// Polls falling inside scheduled outages are skipped entirely (no element
-  /// is produced for them, matching a data-collection gap).
+  /// is produced for them, matching a data-collection gap). A reply that
+  /// would reach the host at or after the next poll slot's base time is
+  /// late and produced as lost.
   std::optional<Exchange> next();
 
   /// Generate the next exchange directly into `out` (no optional round-trip,
@@ -211,17 +211,10 @@ class ClientNode {
   /// `duration` is exhausted. The produced stream is identical to next()'s.
   bool next_into(Exchange& out);
 
-  /// Fill `out` from the front with up to out.size() exchanges; returns how
-  /// many were produced (< out.size() only when the duration ran out). The
-  /// batched hot-path equivalent of calling next() in a loop.
-  std::size_t next_batch(std::span<Exchange> out);
-
-  /// Generate up to `max_rows` exchanges straight into SoA columns (the
-  /// batched drives' hot path: per-batch invariants are hoisted and no
-  /// Exchange row is ever built). Clears `out` first; returns the row count
-  /// (< max_rows only when the duration ran out). Row-for-row identical to
-  /// the next() stream — pinned by the batch-lane goldens, and must be kept
-  /// in lockstep with next_into() (same draw sequence, same arithmetic).
+  /// Generate up to `max_rows` exchanges into SoA columns, one next_into()
+  /// row stored at a time (the session drive's input). Replaces `out`'s
+  /// contents; returns the row count (< max_rows only when the duration ran
+  /// out). Row for row the next() stream by construction.
   std::size_t generate_batch(ExchangeBatch& out, std::size_t max_rows);
 
   /// Poll slots remaining until `duration` (an upper bound on how many more
@@ -292,9 +285,6 @@ class Testbed {
 
   std::optional<Exchange> next() { return node_.next(); }
   bool next_into(Exchange& out) { return node_.next_into(out); }
-  std::size_t next_batch(std::span<Exchange> out) {
-    return node_.next_batch(out);
-  }
   std::size_t generate_batch(ExchangeBatch& out, std::size_t max_rows) {
     return node_.generate_batch(out, max_rows);
   }

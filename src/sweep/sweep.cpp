@@ -63,6 +63,46 @@ struct LaneReducer {
   }
 };
 
+/// Copy a drained lane's counters and its reduction into its result row —
+/// the one fill every runner (classic, fleet, imported trace) uses.
+void fill_result(ScenarioResult& result,
+                 const harness::SessionSummary& summary,
+                 const harness::ReducerSink::Reduction& reduction) {
+  result.exchanges = summary.exchanges;
+  result.lost = summary.lost;
+  result.evaluated = summary.evaluated;
+  // The testbed owns the slot arithmetic; each lane records its counter
+  // after the drain, keeping polls/skipped exact by construction.
+  result.polls = static_cast<std::size_t>(summary.polls_enumerated);
+  result.skipped = result.polls - result.exchanges;
+  result.final_status = summary.final_status;
+  result.clock_error = reduction.clock_error;
+  result.offset_error = reduction.offset_error;
+  result.adev_short_tau = reduction.adev_short_tau;
+  result.adev_short = reduction.adev_short;
+  result.adev_long_tau = reduction.adev_long_tau;
+  result.adev_long = reduction.adev_long;
+}
+
+/// Score one replay spec over a recorded stream into `reducer` (and the
+/// optional trace-dump sink, which also receives unevaluated records): the
+/// one path for replay lanes over a sim recording and for imported
+/// --trace-in cells.
+harness::SessionSummary score_replay(const harness::EstimatorSpec& spec,
+                                     harness::SessionConfig config,
+                                     double nominal_period,
+                                     const harness::ReplayTrace& trace,
+                                     LaneReducer& reducer,
+                                     harness::SampleSink* trace_sink) {
+  config.emit_unevaluated = trace_sink != nullptr;
+  harness::ReplaySession replay(
+      config, harness::estimator_registry().make_replay(spec, config.params,
+                                                        nominal_period));
+  replay.add_sink(reducer.sink());
+  if (trace_sink != nullptr) replay.add_sink(*trace_sink);
+  return replay.run(trace);
+}
+
 /// Pools every fleet lane's evaluated stream into one population summary of
 /// the clock and offset errors. The pooled interleaving is deterministic
 /// (client-major within each merged chunk) but its tb stamps are
@@ -160,24 +200,14 @@ std::vector<ScenarioResult> run_fleet_scenario_multi(
     if (trace != nullptr) session.add_shared_sink(*trace);
     session.run_batched(fleet);
 
+    // Client 0's reduction supplies the ADEV columns; the pool replaces its
+    // error summaries with the population's.
     ScenarioResult result = result_for(scenario, estimators[e]);
-    const harness::SessionSummary summary = session.combined_summary();
-    result.exchanges = summary.exchanges;
-    result.lost = summary.lost;
-    result.evaluated = summary.evaluated;
-    result.polls = static_cast<std::size_t>(summary.polls_enumerated);
-    result.skipped = result.polls - result.exchanges;
-    result.final_status = summary.final_status;
-    for (std::size_t k = 0; k < session.client_count(); ++k)
-      result.steps += session.client(k).estimator().steps();
-
+    fill_result(result, session.combined_summary(), reference.reduce());
     result.clock_error = pool.clock_error();
     result.offset_error = pool.offset_error();
-    const auto reference_reduction = reference.reduce();
-    result.adev_short_tau = reference_reduction.adev_short_tau;
-    result.adev_short = reference_reduction.adev_short;
-    result.adev_long_tau = reference_reduction.adev_long_tau;
-    result.adev_long = reference_reduction.adev_long;
+    for (std::size_t k = 0; k < session.client_count(); ++k)
+      result.steps += session.client(k).estimator().steps();
 
     const harness::FleetReduction fleet_reduction = session.fleet_reduction();
     result.clients = fleet_reduction.clients;
@@ -224,34 +254,15 @@ std::vector<ScenarioResult> run_trace_scenario_multi(
   std::vector<ScenarioResult> results;
   results.reserve(estimators.size());
   for (std::size_t e = 0; e < estimators.size(); ++e) {
-    harness::SampleSink* trace_sink =
-        trace_sinks.empty() ? nullptr : trace_sinks[e];
     LaneReducer reducer(loaded.meta.poll_period, streaming_reduction, mode);
-    harness::SessionConfig lane_config = config;
-    lane_config.emit_unevaluated = trace_sink != nullptr;
-    harness::ReplaySession replay(
-        lane_config, registry.make_replay(estimators[e], config.params,
-                                          loaded.meta.nominal_period));
-    replay.add_sink(reducer.sink());
-    if (trace_sink != nullptr) replay.add_sink(*trace_sink);
-    const harness::SessionSummary summary = replay.run(loaded.trace);
+    const harness::SessionSummary summary = score_replay(
+        estimators[e], config, loaded.meta.nominal_period, loaded.trace,
+        reducer, trace_sinks.empty() ? nullptr : trace_sinks[e]);
 
     ScenarioResult result = result_for(scenario, estimators[e]);
     result.from_trace = true;
     result.relative_only = mode == harness::GroundTruthMode::kRelativeOnly;
-    result.exchanges = summary.exchanges;
-    result.lost = summary.lost;
-    result.evaluated = summary.evaluated;
-    result.polls = static_cast<std::size_t>(summary.polls_enumerated);
-    result.skipped = result.polls - result.exchanges;
-    result.final_status = summary.final_status;
-    const auto reduction = reducer.reduce();
-    result.clock_error = reduction.clock_error;
-    result.offset_error = reduction.offset_error;
-    result.adev_short_tau = reduction.adev_short_tau;
-    result.adev_short = reduction.adev_short;
-    result.adev_long_tau = reduction.adev_long_tau;
-    result.adev_long = reduction.adev_long;
+    fill_result(result, summary, reducer.reduce());
     results.push_back(std::move(result));
   }
   return results;
@@ -333,10 +344,10 @@ std::vector<ScenarioResult> run_scenario_multi(
     if (trace != nullptr) session.add_sink(lane_of[e], *trace);
   }
 
-  // Batched drive: reducer-only lanes take the record-free fast path; lanes
-  // with a trace sink attached degrade to the scalar per-record sequence
-  // inside process_batch, so dumps stay row-for-row identical.
-  session.run_batched(testbed);
+  // Reducer-only lanes take the record-free fast path; lanes with a trace
+  // sink attached degrade to the per-record sequence inside process_batch,
+  // so dumps stay row-for-row identical.
+  session.run(testbed);
 
   if (!trace_export_path.empty()) {
     // Sim recordings carry the DAG reference; the exported file replays
@@ -360,50 +371,15 @@ std::vector<ScenarioResult> run_scenario_multi(
       summary = session.lane(lane_of[e]).summary();
       result.steps = session.lane(lane_of[e]).estimator().steps();
     } else {
-      harness::SampleSink* trace =
-          trace_sinks.empty() ? nullptr : trace_sinks[e];
-      harness::SessionConfig lane_config = config;
-      lane_config.emit_unevaluated = trace != nullptr;
-      harness::ReplaySession replay(
-          lane_config, registry.make_replay(estimators[e], config.params,
-                                            testbed.nominal_period()));
-      replay.add_sink(reducers[e].sink());
-      if (trace != nullptr) replay.add_sink(*trace);
-      summary = replay.run(session.trace());
       // Replay estimators never step (they have nothing to step).
+      summary = score_replay(estimators[e], config, testbed.nominal_period(),
+                             session.trace(), reducers[e],
+                             trace_sinks.empty() ? nullptr : trace_sinks[e]);
     }
-    result.exchanges = summary.exchanges;
-    result.lost = summary.lost;
-    result.evaluated = summary.evaluated;
-    // The testbed owns the slot arithmetic; each lane records its counter
-    // after the drain, keeping polls/skipped exact by construction.
-    result.polls = static_cast<std::size_t>(summary.polls_enumerated);
-    result.skipped = result.polls - result.exchanges;
-    result.final_status = summary.final_status;
-
-    const auto reduction = reducers[e].reduce();
-    result.clock_error = reduction.clock_error;
-    result.offset_error = reduction.offset_error;
-    result.adev_short_tau = reduction.adev_short_tau;
-    result.adev_short = reduction.adev_short;
-    result.adev_long_tau = reduction.adev_long_tau;
-    result.adev_long = reduction.adev_long;
+    fill_result(result, summary, reducers[e].reduce());
     results.push_back(std::move(result));
   }
   return results;
-}
-
-ScenarioResult run_scenario(const SweepScenario& scenario,
-                            Seconds discard_warmup,
-                            harness::SampleSink* trace_sink) {
-  const harness::EstimatorSpec specs[] = {
-      harness::EstimatorSpec{"robust", {}}};
-  harness::SampleSink* const sinks[] = {trace_sink};
-  auto results = run_scenario_multi(
-      scenario, specs, discard_warmup,
-      trace_sink != nullptr ? std::span<harness::SampleSink* const>(sinks)
-                            : std::span<harness::SampleSink* const>());
-  return std::move(results.front());
 }
 
 namespace {

@@ -146,15 +146,6 @@ struct SweepOptions {
   std::string trace_out;
 };
 
-/// Run one scenario synchronously through the shared drive layer with the
-/// default robust estimator (harness::ClockSession, observable warm-up
-/// cut). `trace_sink`, when given, additionally receives every record —
-/// including unevaluated ones — for trace dumping. Equivalent to
-/// run_scenario_multi with {kRobust}.
-ScenarioResult run_scenario(const SweepScenario& scenario,
-                            Seconds discard_warmup,
-                            harness::SampleSink* trace_sink = nullptr);
-
 /// Run one scenario's exchange stream through every estimator spec at once
 /// (the unit the pool executes): one Testbed drain fanned into N
 /// harness::ClockSession lanes via MultiEstimatorSession, so all specs —

@@ -166,6 +166,13 @@ for label in "robust(use_local_rate=0,enable_aging=0)" "offline(split=shifts)"; 
   fi
 done
 
+# -- A late reply costs one packet, not the cell -----------------------------
+# At this seed one ServerExt reply draws a ~16.5 s Pareto backward delay and
+# lands after the next poll instant; it must count as lost, not FAIL the cell.
+expect_status 0 "late reply past the next poll is lost, not a FAILED cell" -- \
+  --servers ext --envs machine --polls 16 --schedules steady \
+  --estimators robust --duration-hours 72 --seed 1607354097
+
 # -- --list-estimators surfaces tunable keys and defaults --------------------
 "$SWEEP" --list-estimators >/tmp/sweep_cli_out.$$ 2>&1
 for needle in "use_local_rate" "enable_level_shift" "split" "default" \

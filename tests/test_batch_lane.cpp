@@ -1,18 +1,17 @@
-// Golden equivalence of the batched hot path against the scalar reference
-// lane:
-//   * Testbed::next_batch / next_into produce the byte-identical exchange
+// Golden equivalence of the chunked SoA drive against the per-record path:
+//   * Testbed::generate_batch produces, column for column, the exchange
 //     stream next() produces, across chunk boundaries, outages and server
 //     switches;
-//   * ClockSession::process_batch / run_batched emit bit-identical reduced
-//     values and summaries to the scalar step loop — for the exact and the
+//   * ClockSession::run / MultiEstimatorSession::run (generate_batch →
+//     process_batch) emit bit-identical reduced values and summaries to an
+//     explicit per-record step()/process() loop — for the exact and the
 //     streaming reducer, single-lane and multi-lane with trace recording,
 //     and under the stress (switch + outage) schedule;
 //   * with a record-shaped sink attached, process_batch degrades to the
-//     scalar per-record sequence (identical SampleRecords).
+//     per-record sequence (identical SampleRecords).
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "harness/replay.hpp"
@@ -100,30 +99,6 @@ void expect_reduction_eq(const ReducerSink::Reduction& a,
 
 // -- Testbed batch API -----------------------------------------------------
 
-TEST(TestbedBatch, NextBatchStreamIdenticalToNext) {
-  // A chunk size that never divides the stream evenly exercises the
-  // boundaries; the stress schedule exercises outage skips and switches.
-  sim::Testbed scalar(stress_scenario());
-  sim::Testbed batched(stress_scenario());
-
-  std::vector<sim::Exchange> reference;
-  while (auto ex = scalar.next()) reference.push_back(*ex);
-
-  std::vector<sim::Exchange> buffer(37);
-  std::size_t seen = 0;
-  while (true) {
-    const std::size_t n = batched.next_batch(buffer);
-    for (std::size_t k = 0; k < n; ++k) {
-      ASSERT_LT(seen, reference.size());
-      expect_exchange_eq(reference[seen], buffer[k]);
-      ++seen;
-    }
-    if (n < buffer.size()) break;
-  }
-  EXPECT_EQ(seen, reference.size());
-  EXPECT_EQ(scalar.polls_enumerated(), batched.polls_enumerated());
-}
-
 TEST(TestbedBatch, GenerateBatchColumnsIdenticalToNext) {
   // The SoA stream: every column of every row — materialized back into an
   // Exchange — must reproduce next()'s stream bit-for-bit, across awkward
@@ -205,7 +180,7 @@ TEST(TestbedBatch, CheckWireModeAssertsQuantizeMatchesRealWire) {
   }
   EXPECT_EQ(seen, reference.size());
 
-  // The scalar path has its own check-wire call site; drain it too.
+  // next() runs the same check outside generate_batch; drain it too.
   sim::Testbed checked_scalar(checked_scenario);
   std::size_t scalar_seen = 0;
   while (auto ex = checked_scalar.next()) {
@@ -239,6 +214,15 @@ TEST(TestbedBatch, GenerateAllReservesUpfront) {
 
 // -- ClockSession batch lane ----------------------------------------------
 
+/// The per-record reference drive: step() until the testbed runs dry, then
+/// back-fill the slot count as run() does.
+const SessionSummary& step_all(ClockSession& session, sim::Testbed& testbed) {
+  while (session.step(testbed)) {
+  }
+  session.set_polls_enumerated(testbed.polls_enumerated());
+  return session.summary();
+}
+
 TEST(BatchLane, SingleLaneExactReducerBitIdentical) {
   const auto scenario = plain_scenario();
   const auto config = session_config_for(scenario);
@@ -247,13 +231,13 @@ TEST(BatchLane, SingleLaneExactReducerBitIdentical) {
   ClockSession scalar(config, scalar_bed.nominal_period());
   ReducerSink scalar_reducer(scenario.poll_period);
   scalar.add_sink(scalar_reducer);
-  const auto scalar_summary = scalar.run(scalar_bed);
+  const auto scalar_summary = step_all(scalar, scalar_bed);
 
   sim::Testbed batch_bed(scenario);
   ClockSession batched(config, batch_bed.nominal_period());
   ReducerSink batch_reducer(scenario.poll_period);
   batched.add_sink(batch_reducer);
-  const auto batch_summary = batched.run_batched(batch_bed);
+  const auto batch_summary = batched.run(batch_bed);
 
   EXPECT_EQ(scalar_summary.exchanges, batch_summary.exchanges);
   EXPECT_EQ(scalar_summary.lost, batch_summary.lost);
@@ -276,13 +260,13 @@ TEST(BatchLane, SingleLaneStreamingReducerBitIdentical) {
   ClockSession scalar(config, scalar_bed.nominal_period());
   StreamingReducerSink scalar_reducer(scenario.poll_period);
   scalar.add_sink(scalar_reducer);
-  scalar.run(scalar_bed);
+  step_all(scalar, scalar_bed);
 
   sim::Testbed batch_bed(scenario);
   ClockSession batched(config, batch_bed.nominal_period());
   StreamingReducerSink batch_reducer(scenario.poll_period);
   batched.add_sink(batch_reducer);
-  batched.run_batched(batch_bed);
+  batched.run(batch_bed);
 
   expect_reduction_eq(scalar_reducer.reduce(), batch_reducer.reduce());
 }
@@ -295,13 +279,13 @@ TEST(BatchLane, StressScheduleBitIdentical) {
   ClockSession scalar(config, scalar_bed.nominal_period());
   ReducerSink scalar_reducer(scenario.poll_period);
   scalar.add_sink(scalar_reducer);
-  const auto scalar_summary = scalar.run(scalar_bed);
+  const auto scalar_summary = step_all(scalar, scalar_bed);
 
   sim::Testbed batch_bed(scenario);
   ClockSession batched(config, batch_bed.nominal_period());
   ReducerSink batch_reducer(scenario.poll_period);
   batched.add_sink(batch_reducer);
-  const auto batch_summary = batched.run_batched(batch_bed);
+  const auto batch_summary = batched.run(batch_bed);
 
   EXPECT_EQ(scalar_summary.exchanges, batch_summary.exchanges);
   EXPECT_EQ(scalar_summary.lost, batch_summary.lost);
@@ -315,40 +299,54 @@ TEST(BatchLane, MultiLaneWithTraceRecordingBitIdentical) {
   const auto scenario = stress_scenario();
   const auto config = session_config_for(scenario);
 
-  const auto build = [&](MultiEstimatorSession& session, double nominal,
-                         std::vector<ReducerSink>& reducers) {
-    session.enable_trace_recording(config);
-    reducers.reserve(3);
-    const std::size_t robust = session.add_lane(
-        config, std::make_unique<TscNtpEstimator>(config.params, nominal));
-    const std::size_t swntp = session.add_lane(
-        config,
+  const auto make_estimators = [](const SessionConfig& lane_config,
+                                  double nominal) {
+    std::vector<std::unique_ptr<ClockEstimator>> estimators;
+    estimators.push_back(
+        std::make_unique<TscNtpEstimator>(lane_config.params, nominal));
+    estimators.push_back(
         std::make_unique<SwNtpEstimator>(baseline::PllConfig{}, nominal));
-    const std::size_t naive =
-        session.add_lane(config, std::make_unique<NaiveEstimator>(nominal));
-    for (const std::size_t lane : {robust, swntp, naive}) {
-      reducers.emplace_back(scenario.poll_period);
-      session.add_sink(lane, reducers.back());
-    }
+    estimators.push_back(std::make_unique<NaiveEstimator>(nominal));
+    return estimators;
   };
 
+  // Per-record reference: three independent ClockSessions fed every
+  // exchange in turn; lane 0 records the stream.
   sim::Testbed scalar_bed(scenario);
-  MultiEstimatorSession scalar;
+  std::vector<std::unique_ptr<ClockSession>> scalar;
   std::vector<ReducerSink> scalar_reducers;
-  build(scalar, scalar_bed.nominal_period(), scalar_reducers);
-  scalar.run(scalar_bed);
+  scalar_reducers.reserve(3);
+  for (auto& estimator :
+       make_estimators(config, scalar_bed.nominal_period())) {
+    SessionConfig lane_config = config;
+    lane_config.record_trace = scalar.empty();
+    scalar.push_back(
+        std::make_unique<ClockSession>(lane_config, std::move(estimator)));
+    scalar_reducers.emplace_back(scenario.poll_period);
+    scalar.back()->add_sink(scalar_reducers.back());
+  }
+  while (const auto ex = scalar_bed.next())
+    for (auto& lane : scalar) lane->process(*ex);
+  for (auto& lane : scalar)
+    lane->set_polls_enumerated(scalar_bed.polls_enumerated());
 
   sim::Testbed batch_bed(scenario);
   MultiEstimatorSession batched;
+  batched.enable_trace_recording(config);
   std::vector<ReducerSink> batch_reducers;
-  build(batched, batch_bed.nominal_period(), batch_reducers);
-  batched.run_batched(batch_bed);
+  batch_reducers.reserve(3);
+  for (auto& estimator : make_estimators(config, batch_bed.nominal_period())) {
+    const std::size_t lane = batched.add_lane(config, std::move(estimator));
+    batch_reducers.emplace_back(scenario.poll_period);
+    batched.add_sink(lane, batch_reducers.back());
+  }
+  batched.run(batch_bed);
 
   for (std::size_t lane = 0; lane < 3; ++lane) {
     SCOPED_TRACE(lane);
     expect_reduction_eq(scalar_reducers[lane].reduce(),
                         batch_reducers[lane].reduce());
-    const auto& a = scalar.lane(lane).summary();
+    const auto& a = scalar[lane]->summary();
     const auto& b = batched.lane(lane).summary();
     EXPECT_EQ(a.exchanges, b.exchanges);
     EXPECT_EQ(a.evaluated, b.evaluated);
@@ -356,7 +354,7 @@ TEST(BatchLane, MultiLaneWithTraceRecordingBitIdentical) {
   }
 
   // The shared recording must be sample-for-sample identical too.
-  const ReplayTrace& ta = scalar.trace();
+  const ReplayTrace& ta = scalar.front()->trace();
   const ReplayTrace& tb = batched.trace();
   EXPECT_EQ(ta.exchanges, tb.exchanges);
   EXPECT_EQ(ta.lost, tb.lost);
@@ -380,7 +378,7 @@ TEST(BatchLane, MultiLaneWithTraceRecordingBitIdentical) {
 
 TEST(BatchLane, RecordSinkDegradesToScalarSequence) {
   // With a record-shaped sink attached, process_batch must emit the exact
-  // SampleRecord stream the scalar loop emits (per-record, in order).
+  // SampleRecord stream the per-record loop emits (in order).
   const auto scenario = plain_scenario(97531);
   const auto config = session_config_for(scenario);
 
@@ -390,10 +388,12 @@ TEST(BatchLane, RecordSinkDegradesToScalarSequence) {
   ReducerSink scalar_reducer(scenario.poll_period);
   scalar.add_sink(scalar_collector);
   scalar.add_sink(scalar_reducer);
-  scalar.run(scalar_bed);
+  step_all(scalar, scalar_bed);
 
+  // The whole stream as one ExchangeBatch.
   sim::Testbed batch_bed(scenario);
-  const auto all = batch_bed.generate_all();
+  sim::ExchangeBatch all;
+  batch_bed.generate_batch(all, batch_bed.polls_remaining());
   ClockSession batched(config, batch_bed.nominal_period());
   CollectorSink batch_collector;
   ReducerSink batch_reducer(scenario.poll_period);

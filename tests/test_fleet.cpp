@@ -114,8 +114,7 @@ TEST(FleetStream, SingleClientFleetSessionMatchesClockSessionBatched) {
   harness::ClockSession session(config, classic.nominal_period());
   harness::ReducerSink classic_reducer(scenario.poll_period);
   session.add_sink(classic_reducer);
-  const harness::SessionSummary classic_summary =
-      session.run_batched(classic);
+  const harness::SessionSummary classic_summary = session.run(classic);
 
   sim::FleetTestbed fleet(scenario, sim::FleetConfig{});
   harness::FleetSession fleet_session;

@@ -8,6 +8,7 @@
 #include <cmath>
 
 #include "common/stats.hpp"
+#include "sim/fleet.hpp"
 
 namespace tscclock::sim {
 namespace {
@@ -271,6 +272,61 @@ TEST(Testbed, LostExchangesDistinctFromSkippedPolls) {
   EXPECT_GE(produced, slots - outage_slots - 2);
   EXPECT_GT(lost_after_switch, 0u)
       << "expected ServerExt losses in half a day of polls";
+}
+
+/// A path whose backward delay alone always exceeds the poll period: every
+/// reply would reach the host after the next poll has read the oscillator.
+ScenarioConfig late_reply_config() {
+  auto config = short_config();
+  config.duration = duration::kHour;
+  PathConfig path = ScenarioConfig::path_preset(config.server);
+  path.backward.min_delay = 2 * config.poll_period;
+  path.loss_prob = 0.0;
+  config.path_override = path;
+  return config;
+}
+
+TEST(Testbed, LateRepliesAreLostNotFatal) {
+  // Each late reply costs its own packet; generation completes. Only the
+  // last slot (no next poll to overtake) delivers its reply.
+  Testbed tb(late_reply_config());
+  const std::uint64_t slots = tb.polls_remaining();
+  ExchangeBatch batch;
+  std::size_t produced = 0;
+  while (true) {
+    const std::size_t n = tb.generate_batch(batch, 64);
+    for (std::size_t i = 0; i < n; ++i) {
+      const bool last_slot = batch.index[i] + 1 == slots;
+      EXPECT_EQ(batch.lost[i] != 0, !last_slot) << "poll " << batch.index[i];
+    }
+    produced += n;
+    if (n < 64) break;
+  }
+  EXPECT_EQ(produced, slots);
+  EXPECT_GT(produced, 200u);
+}
+
+TEST(FleetTestbed, LateRepliesAreLostNotFatal) {
+  FleetConfig topology;
+  topology.n_clients = 2;
+  FleetTestbed fleet(late_reply_config(), topology);
+  FleetBatch batch;
+  std::vector<std::size_t> lost(2, 0);
+  std::vector<std::size_t> rows(2, 0);
+  while (true) {
+    const std::size_t n = fleet.generate_batch(batch, 64);
+    for (std::size_t i = 0; i < n; ++i) {
+      ++rows[batch.client_id[i]];
+      if (batch.exchanges.lost[i] != 0) ++lost[batch.client_id[i]];
+    }
+    if (n < 64) break;
+  }
+  for (std::size_t k = 0; k < 2; ++k) {
+    SCOPED_TRACE(k);
+    EXPECT_EQ(rows[k], fleet.client(k).polls_enumerated());
+    EXPECT_GT(rows[k], 200u);
+    EXPECT_EQ(lost[k], rows[k] - 1) << "all but the last slot's reply";
+  }
 }
 
 TEST(Testbed, NamesForDisplay) {

@@ -518,7 +518,9 @@ TEST(SpecGolden, BareRobustSpecBitIdenticalToDirectRobustLane) {
   const Seconds warmup = 20 * duration::kMinute;
   for (const auto& scenario : scenarios) {
     // Registry lane, exactly as the sweep runs it.
-    const auto via_spec = run_scenario(scenario, warmup);
+    const harness::EstimatorSpec robust[] = {
+        harness::EstimatorSpec{"robust", {}}};
+    const auto via_spec = run_scenario_multi(scenario, robust, warmup).front();
     ASSERT_FALSE(via_spec.failed);
     EXPECT_EQ(via_spec.estimator.label(), "robust");
 
