@@ -1,31 +1,80 @@
 #include "common/serialize.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
 #include <stdexcept>
 
 namespace tscclock {
 
-std::string format_double_exact(double value) {
+std::string_view format_double_exact(double value,
+                                     ExactDoubleBuffer& buffer) {
   if (std::isnan(value)) return "nan";
   if (std::isinf(value)) return value > 0 ? "inf" : "-inf";
   // %a hexfloat: the shortest exact representation strtod round-trips to
   // the identical bits on every IEEE-754 platform. (%.17g would round-trip
   // too, but hexfloat cannot even be mis-rounded by a sloppy libc.)
-  char buffer[64];
-  std::snprintf(buffer, sizeof buffer, "%a", value);
-  return buffer;
+  const int length = std::snprintf(buffer.data(), buffer.size(), "%a", value);
+  return {buffer.data(), static_cast<std::size_t>(length)};
 }
+
+std::string format_double_exact(double value) {
+  ExactDoubleBuffer buffer;
+  return std::string(format_double_exact(value, buffer));
+}
+
+namespace {
+
+bool is_hex_digit(char c) {
+  return (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f') ||
+         (c >= 'A' && c <= 'F');
+}
+
+/// strtod over the whole of `text`: true when it converts every character.
+/// strtod needs NUL termination, so the text is copied — onto the stack
+/// when it fits, which every number field of the repo's formats does.
+bool strtod_whole(std::string_view text, double& value) {
+  char stack[64];
+  std::string heap;
+  const char* begin = stack;
+  if (text.size() < sizeof stack) {
+    std::memcpy(stack, text.data(), text.size());
+    stack[text.size()] = '\0';
+  } else {
+    heap.assign(text);
+    begin = heap.c_str();
+  }
+  char* end = nullptr;
+  value = std::strtod(begin, &end);
+  return end == begin + text.size();
+}
+
+}  // namespace
 
 double parse_double_exact(std::string_view text) {
   if (text.empty()) throw std::runtime_error("empty number field");
-  const std::string copy(text);  // strtod needs NUL termination
-  char* end = nullptr;
-  const double value = std::strtod(copy.c_str(), &end);
-  if (end != copy.c_str() + copy.size()) {
-    throw std::runtime_error("malformed number '" + copy + "'");
+  // Fast path for what format_double_exact writes for finite values:
+  // [-]0x, then a hex digit or '.'. from_chars reads the rest with strtod's
+  // hexfloat grammar and rounding; whatever it leaves unread or reports out
+  // of range goes to strtod below, so edge cases keep strtod's answer.
+  const bool negative = text.front() == '-';
+  const std::string_view body = text.substr(negative ? 1 : 0);
+  if (body.size() > 2 && body[0] == '0' && body[1] == 'x' &&
+      (is_hex_digit(body[2]) || body[2] == '.')) {
+    const char* last = body.data() + body.size();
+    double magnitude = 0;
+    const auto [ptr, ec] = std::from_chars(body.data() + 2, last, magnitude,
+                                           std::chars_format::hex);
+    if (ec == std::errc() && ptr == last) {
+      return negative ? -magnitude : magnitude;
+    }
+  }
+  double value = 0;
+  if (!strtod_whole(text, value)) {
+    throw std::runtime_error("malformed number '" + std::string(text) + "'");
   }
   return value;
 }

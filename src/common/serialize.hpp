@@ -14,6 +14,7 @@
 //     into backslash escapes and unescape_field inverts it exactly.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -25,8 +26,18 @@ namespace tscclock {
 /// (hexfloat for finite values; "inf"/"-inf"/"nan" otherwise).
 std::string format_double_exact(double value);
 
-/// Inverse of format_double_exact; also accepts plain decimal. Throws
-/// std::runtime_error on empty input, trailing garbage or no conversion.
+/// Buffer for the allocation-free form below: the longest text is
+/// "-0x1.fffffffffffffp+1023" (24 characters) plus the terminating NUL.
+using ExactDoubleBuffer = std::array<char, 32>;
+
+/// format_double_exact without allocating: returns a view of the same text,
+/// held in `buffer` (or, for the non-finite spellings, in static storage).
+std::string_view format_double_exact(double value, ExactDoubleBuffer& buffer);
+
+/// Inverse of format_double_exact; also accepts plain decimal. Accepts
+/// exactly what strtod accepts over the whole text and returns the same
+/// bits; allocates nothing unless it throws. Throws std::runtime_error on
+/// empty input, trailing garbage or no conversion.
 double parse_double_exact(std::string_view text);
 
 /// Strict non-negative integer parse: digits only, no sign, no whitespace,

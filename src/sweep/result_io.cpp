@@ -7,6 +7,7 @@
 
 #include "common/contracts.hpp"
 #include "common/csv.hpp"
+#include "common/line_reader.hpp"
 #include "common/serialize.hpp"
 #include "common/table.hpp"
 
@@ -126,72 +127,27 @@ SeriesSummary read_summary(FieldReader& reader) {
 /// record from a different (future) layout can never half-parse.
 constexpr std::size_t kCellFields = 64;
 
-/// Line-oriented reader tracking byte offsets (the checkpoint loader needs
-/// the exact end-of-prefix offset to truncate a torn tail). A final line
-/// without a terminating newline is reported as torn, never returned as
-/// content — that is precisely the kill-mid-write signature.
-class LineReader {
- public:
-  explicit LineReader(const std::string& content) : content_(content) {}
-
-  /// Next complete ('\n'-terminated) line, without the newline.
-  /// Returns false at end of complete content; a trailing unterminated
-  /// fragment sets torn().
-  bool next_line(std::string& line) {
-    if (offset_ >= content_.size()) return false;
-    const std::size_t newline = content_.find('\n', offset_);
-    if (newline == std::string::npos) {
-      torn_ = true;
-      return false;
-    }
-    line.assign(content_, offset_, newline - offset_);
-    offset_ = newline + 1;
-    return true;
-  }
-
-  [[nodiscard]] std::uint64_t offset() const { return offset_; }
-  [[nodiscard]] bool torn() const { return torn_; }
-
- private:
-  const std::string& content_;
-  std::size_t offset_ = 0;
-  bool torn_ = false;
-};
-
-std::string read_file(const std::string& path, const char* what) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    throw ResultIoError(std::string(what) + ": cannot open " + path);
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  if (in.bad()) {
-    throw ResultIoError(std::string(what) + ": read error on " + path);
-  }
-  return buffer.str();
-}
-
 /// "key value" header line helper: enforces the key and returns the value.
-std::string header_value(const std::string& line, const std::string& key,
-                         const std::string& context) {
-  if (line.size() <= key.size() || line.compare(0, key.size(), key) != 0 ||
+std::string_view header_value(std::string_view line, const std::string& key,
+                              const std::string& context) {
+  if (line.size() <= key.size() || !line.starts_with(key) ||
       line[key.size()] != ' ') {
     throw ResultIoError(context + ": expected '" + key + " ...', got '" +
-                        line + "'");
+                        std::string(line) + "'");
   }
   return line.substr(key.size() + 1);
 }
 
 /// Parse "<magic> <version>" and enforce both; a version mismatch names the
 /// two versions (the CLI "version-skewed dump" message).
-void check_magic(const std::string& line, const char* magic,
+void check_magic(std::string_view line, const char* magic,
                  const std::string& context) {
   const std::string expected_prefix = std::string(magic) + " ";
-  if (line.compare(0, expected_prefix.size(), expected_prefix) != 0) {
+  if (!line.starts_with(expected_prefix)) {
     throw ResultIoError(context + ": not a " + magic + " file (first line '" +
-                        line + "')");
+                        std::string(line) + "')");
   }
-  const std::string version = line.substr(expected_prefix.size());
+  const std::string version(line.substr(expected_prefix.size()));
   if (version != std::to_string(kResultFormatVersion)) {
     throw ResultIoError(
         context + ": format version " + version +
@@ -204,9 +160,10 @@ std::string format_hash(std::uint64_t hash) {
   return strfmt("0x%016llx", static_cast<unsigned long long>(hash));
 }
 
-std::uint64_t parse_hash(const std::string& text, const std::string& context) {
-  if (text.size() != 18 || text.compare(0, 2, "0x") != 0) {
-    throw ResultIoError(context + ": malformed hash '" + text + "'");
+std::uint64_t parse_hash(std::string_view text, const std::string& context) {
+  if (text.size() != 18 || !text.starts_with("0x")) {
+    throw ResultIoError(context + ": malformed hash '" + std::string(text) +
+                        "'");
   }
   std::uint64_t value = 0;
   for (std::size_t i = 2; i < text.size(); ++i) {
@@ -217,18 +174,37 @@ std::uint64_t parse_hash(const std::string& text, const std::string& context) {
     } else if (c >= 'a' && c <= 'f') {
       value |= static_cast<std::uint64_t>(c - 'a' + 10);
     } else {
-      throw ResultIoError(context + ": malformed hash '" + text + "'");
+      throw ResultIoError(context + ": malformed hash '" + std::string(text) +
+                          "'");
     }
   }
   return value;
 }
 
-ShardSpec parse_shard_token(const std::string& text,
+ShardSpec parse_shard_token(std::string_view text,
                             const std::string& context) {
   try {
-    return parse_shard(text);
+    return parse_shard(std::string(text));
   } catch (const SweepUsageError&) {
-    throw ResultIoError(context + ": malformed shard '" + text + "'");
+    throw ResultIoError(context + ": malformed shard '" + std::string(text) +
+                        "'");
+  }
+}
+
+/// Throws ResultIoError "<what>: cannot open <path>" when `lines` could not
+/// open its file.
+void require_open(const LineReader& lines, const char* what,
+                  const std::string& path) {
+  if (!lines.is_open()) {
+    throw ResultIoError(std::string(what) + ": cannot open " + path);
+  }
+}
+
+/// Throws ResultIoError "<context>: cannot read (<reason>)" when the stream
+/// failed mid-read (a directory, an I/O error).
+void require_readable(const LineReader& lines, const std::string& context) {
+  if (lines.failed()) {
+    throw ResultIoError(context + ": cannot read (" + lines.error() + ")");
   }
 }
 
@@ -400,12 +376,13 @@ void ShardDumpWriter::write_cells(std::span<const ScenarioResult> results) {
 }
 
 ShardDump read_shard_dump(const std::string& path) {
-  const std::string content = read_file(path, "result dump");
+  LineReader lines(path);
+  require_open(lines, "result dump", path);
   const std::string context = "result dump " + path;
-  LineReader lines(content);
-  std::string line;
-  const auto next_line = [&]() -> const std::string& {
+  std::string_view line;
+  const auto next_line = [&] {
     if (!lines.next_line(line)) {
+      require_readable(lines, context);
       throw ResultIoError(context + ": truncated (unexpected end of file)");
     }
     return line;
@@ -434,13 +411,13 @@ ShardDump read_shard_dump(const std::string& path) {
         parse_u64_exact(header_value(next_line(), "cells", context));
     dump.results.reserve(cell_count);
     for (std::size_t i = 0; i < cell_count; ++i) {
-      const std::string& cell_line = next_line();
-      if (cell_line.compare(0, 5, "cell\t") != 0) {
+      const std::string_view cell_line = next_line();
+      if (!cell_line.starts_with("cell\t")) {
         throw ResultIoError(context + ": expected cell record " +
-                            std::to_string(i) + ", got '" + cell_line + "'");
+                            std::to_string(i) + ", got '" +
+                            std::string(cell_line) + "'");
       }
-      dump.results.push_back(
-          parse_result(std::string_view(cell_line).substr(5)));
+      dump.results.push_back(parse_result(cell_line.substr(5)));
     }
   } catch (const ResultIoError&) {
     throw;
@@ -567,13 +544,14 @@ namespace {
 class TraceCsvReader {
  public:
   explicit TraceCsvReader(const std::string& path)
-      : path_(path), content_(read_file(path, "trace csv")), lines_(content_) {
-    if (lines_.torn()) {
-      // Defensive; torn() only set after a failed next_line().
-    }
-    if (!lines_.next_line(header_)) {
+      : path_(path), lines_(path) {
+    require_open(lines_, "trace csv", path);
+    std::string_view header;
+    if (!lines_.next_line(header)) {
+      require_readable(lines_, "trace csv " + path);
       throw ResultIoError("trace csv " + path + ": empty file");
     }
+    header_ = header;
     advance();
   }
 
@@ -600,6 +578,7 @@ class TraceCsvReader {
  private:
   void advance() {
     have_row_ = lines_.next_line(row_);
+    if (!have_row_) require_readable(lines_, "trace csv " + path_);
     if (lines_.torn()) {
       throw ResultIoError("trace csv " + path_ +
                           ": torn trailing line (incomplete dump)");
@@ -625,17 +604,14 @@ class TraceCsvReader {
       }
       row_scenario_ = std::move(name);
     } else {
-      const std::size_t comma = row_.find(',');
-      row_scenario_ =
-          comma == std::string::npos ? row_ : row_.substr(0, comma);
+      row_scenario_ = row_.substr(0, row_.find(','));
     }
   }
 
   std::string path_;
-  std::string content_;
   LineReader lines_;
   std::string header_;
-  std::string row_;
+  std::string_view row_;  ///< valid until the next advance()
   std::string row_scenario_;
   bool have_row_ = false;
 };
@@ -705,16 +681,22 @@ CheckpointLoad load_checkpoint(const std::string& path,
                                const std::vector<SweepScenario>& scenarios,
                                std::span<const std::string> estimator_labels) {
   const std::string context = "checkpoint " + path;
-  std::string content;
-  try {
-    content = read_file(path, "checkpoint");
-  } catch (const ResultIoError& e) {
-    throw SweepUsageError(e.what());
-  }
-  LineReader lines(content);
-  std::string line;
-  const auto next_header_line = [&]() -> const std::string& {
+  LineReader lines(path);
+  // An unreadable checkpoint is a usage error (exit 2), not a torn tail to
+  // recompute: the path the user named is not a file this run can resume.
+  const auto check_readable = [&] {
+    try {
+      require_open(lines, "checkpoint", path);
+      require_readable(lines, context);
+    } catch (const ResultIoError& e) {
+      throw SweepUsageError(e.what());
+    }
+  };
+  check_readable();
+  std::string_view line;
+  const auto next_header_line = [&] {
     if (!lines.next_line(line)) {
+      check_readable();
       throw SweepUsageError(context +
                             ": truncated before the header completed — "
                             "delete the file to start over");
@@ -746,12 +728,12 @@ CheckpointLoad load_checkpoint(const std::string& path,
           context.c_str(), shard.label().c_str(),
           expected.shard.label().c_str()));
     }
-    const std::string csv_flag =
+    const std::string_view csv_flag =
         header_value(next_header_line(), "csv", context);
     const bool with_csv = csv_flag == "1";
     if (!with_csv && csv_flag != "0") {
-      throw ResultIoError(context + ": malformed csv flag '" + csv_flag +
-                          "'");
+      throw ResultIoError(context + ": malformed csv flag '" +
+                          std::string(csv_flag) + "'");
     }
     if (with_csv != expected.with_csv) {
       throw SweepUsageError(
@@ -787,11 +769,11 @@ CheckpointLoad load_checkpoint(const std::string& path,
           group_ok = false;
           break;
         }
-        if (line.compare(0, 5, "cell\t") != 0) {
-          throw ResultIoError("expected cell record, got '" + line + "'");
+        if (!line.starts_with("cell\t")) {
+          throw ResultIoError("expected cell record, got '" +
+                              std::string(line) + "'");
         }
-        ScenarioResult cell =
-            parse_result(std::string_view(line).substr(5));
+        ScenarioResult cell = parse_result(line.substr(5));
         if (cell.scenario_index != scenario_index ||
             cell.name != scenario.name ||
             cell.estimator.label() != estimator_labels[e]) {
@@ -805,7 +787,8 @@ CheckpointLoad load_checkpoint(const std::string& path,
         } else {
           FieldReader done(split_fields(line));
           if (done.size() != 3 || done.next() != "done") {
-            throw ResultIoError("expected done record, got '" + line + "'");
+            throw ResultIoError("expected done record, got '" +
+                                std::string(line) + "'");
           }
           if (done.next_size() != scenario_index) {
             throw ResultIoError("done record names the wrong scenario");
@@ -821,8 +804,12 @@ CheckpointLoad load_checkpoint(const std::string& path,
     ++load.committed_scenarios;
     load.valid_bytes = lines.offset();
   }
-  load.discarded_tail =
-      lines.torn() || load.valid_bytes < content.size();
+  // Anything past the committed prefix is a discarded tail: lines read
+  // beyond it, a line after the last owned scenario, or a torn fragment.
+  std::string_view rest;
+  load.discarded_tail = lines.offset() > load.valid_bytes ||
+                        lines.next_line(rest) || lines.torn();
+  check_readable();
   return load;
 }
 

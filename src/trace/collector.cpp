@@ -227,6 +227,9 @@ CollectorReport collect(
       note("poll " + std::to_string(sample.index) + ": timeout (lost)");
     }
     writer.write(sample);
+    // Flushed per record: a killed collection loses at most this line,
+    // which read_trace then refuses as a torn tail, never half-trusts.
+    writer.flush();
 
     if (report.attempted < options.count) {
       const Seconds elapsed =

@@ -1,7 +1,9 @@
 #include "trace/trace_io.hpp"
 
-#include <sstream>
+#include <array>
+#include <cmath>
 
+#include "common/line_reader.hpp"
 #include "common/serialize.hpp"
 #include "common/time_types.hpp"
 
@@ -59,24 +61,28 @@ void TraceWriter::write(const harness::ReplaySample& sample) {
   if (closed_) throw TraceIoError("trace " + path_ + " already closed");
   const bool reference = meta_.mode == harness::GroundTruthMode::kReference;
   const bool ref = reference && sample.ref_available;
+  ExactDoubleBuffer buffer;
+  const auto tab_double = [&](double value) {
+    out_ << '\t' << format_double_exact(value, buffer);
+  };
   out_ << "x\t" << sample.index << '\t' << (sample.lost ? 1 : 0) << '\t'
        << (sample.in_warmup ? 1 : 0) << '\t'
        << (sample.server_changed ? 1 : 0) << '\t' << (ref ? 1 : 0) << '\t'
-       << sample.raw.ta << '\t' << format_double_exact(sample.raw.tb) << '\t'
-       << format_double_exact(sample.raw.te) << '\t' << sample.raw.tf << '\t'
-       << sample.tf_counts_corrected;
+       << sample.raw.ta;
+  tab_double(sample.raw.tb);
+  tab_double(sample.raw.te);
+  out_ << '\t' << sample.raw.tf << '\t' << sample.tf_counts_corrected;
   if (reference) {
-    out_ << '\t' << format_double_exact(sample.truth_ta) << '\t'
-         << format_double_exact(sample.truth_tb) << '\t'
-         << format_double_exact(sample.tg);
+    tab_double(sample.truth_ta);
+    tab_double(sample.truth_tb);
+    tab_double(sample.tg);
   }
   out_ << '\n';
   ++exchanges_;
   if (sample.lost) ++lost_;
-  // One flush per record bounds a kill's loss window to the in-flight line,
-  // which read_trace then refuses as a torn tail — never half-trusts.
-  out_.flush();
 }
+
+void TraceWriter::flush() { out_.flush(); }
 
 void TraceWriter::close(std::uint64_t polls_enumerated) {
   if (closed_) return;
@@ -97,56 +103,34 @@ void write_trace(const std::string& path, const TraceMeta& meta,
 
 namespace {
 
-/// Minimal clone of result_io's line reader (that one is file-local there
-/// on purpose: each artifact format owns its torn-tail policy).
-class LineReader {
- public:
-  explicit LineReader(const std::string& content) : content_(content) {}
+using RecordFields = std::array<std::string_view, kReferenceFields>;
 
-  bool next_line(std::string& line) {
-    if (offset_ >= content_.size()) return false;
-    const std::size_t newline = content_.find('\n', offset_);
-    if (newline == std::string::npos) {
-      torn_ = true;
-      return false;
-    }
-    line.assign(content_, offset_, newline - offset_);
-    offset_ = newline + 1;
-    return true;
+/// Split a record body at its tabs into `fields` and return the field
+/// count. Fields past the array's end are counted but not stored, so a
+/// field-count error still names the true count.
+std::size_t split_record(std::string_view body, RecordFields& fields) {
+  std::size_t count = 0;
+  for (;;) {
+    const std::size_t tab = body.find('\t');
+    if (count < fields.size()) fields[count] = body.substr(0, tab);
+    ++count;
+    if (tab == std::string_view::npos) return count;
+    body.remove_prefix(tab + 1);
   }
-
-  [[nodiscard]] bool torn() const { return torn_; }
-  [[nodiscard]] bool exhausted() const {
-    return !torn_ && offset_ >= content_.size();
-  }
-
- private:
-  const std::string& content_;
-  std::size_t offset_ = 0;
-  bool torn_ = false;
-};
-
-std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw TraceIoError("trace " + path + ": cannot open");
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  if (in.bad()) throw TraceIoError("trace " + path + ": read error");
-  return buffer.str();
 }
 
-double parse_positive(const std::string& text, const char* key,
+double parse_positive(std::string_view text, const char* key,
                       const std::string& context) {
   double value = 0;
   try {
     value = parse_double_exact(text);
   } catch (const std::exception& e) {
-    throw TraceIoError(context + ": malformed " + key + " '" + text +
-                       "': " + e.what());
+    throw TraceIoError(context + ": malformed " + key + " '" +
+                       std::string(text) + "': " + e.what());
   }
   if (!(value > 0)) {
     throw TraceIoError(context + ": " + key + " must be positive, got '" +
-                       text + "'");
+                       std::string(text) + "'");
   }
   return value;
 }
@@ -154,30 +138,35 @@ double parse_positive(const std::string& text, const char* key,
 }  // namespace
 
 ReadTrace read_trace(const std::string& path) {
-  const std::string content = read_file(path);
   const std::string context = "trace " + path;
-  LineReader lines(content);
-  std::string line;
-  const auto next_line = [&]() -> const std::string& {
+  LineReader lines(path);
+  if (!lines.is_open()) throw TraceIoError(context + ": cannot open");
+  const auto check_readable = [&] {
+    if (lines.failed()) {
+      throw TraceIoError(context + ": cannot read (" + lines.error() + ")");
+    }
+  };
+  std::string_view line;
+  const auto next_line = [&] {
     if (!lines.next_line(line)) {
+      check_readable();
       throw TraceIoError(context + (lines.torn()
                                         ? ": torn trailing line (the file "
                                           "ends mid-record)"
                                         : ": truncated (unexpected end of "
                                           "file)"));
     }
-    return line;
   };
 
   // Magic + version gate, naming both versions on skew.
   {
     const std::string expected_prefix = std::string(kTraceMagic) + " ";
     next_line();
-    if (line.compare(0, expected_prefix.size(), expected_prefix) != 0) {
+    if (!line.starts_with(expected_prefix)) {
       throw TraceIoError(context + ": not a " + kTraceMagic +
-                         " file (first line '" + line + "')");
+                         " file (first line '" + std::string(line) + "')");
     }
-    const std::string version = line.substr(expected_prefix.size());
+    const std::string version(line.substr(expected_prefix.size()));
     if (version != std::to_string(kTraceFormatVersion)) {
       throw TraceIoError(context + ": format version " + version +
                          " is not supported by this build (expected version " +
@@ -195,11 +184,12 @@ ReadTrace read_trace(const std::string& path) {
     next_line();
     if (line == "samples") break;
     const std::size_t space = line.find(' ');
-    if (space == std::string::npos || space == 0) {
-      throw TraceIoError(context + ": malformed header line '" + line + "'");
+    if (space == std::string_view::npos || space == 0) {
+      throw TraceIoError(context + ": malformed header line '" +
+                         std::string(line) + "'");
     }
-    const std::string key = line.substr(0, space);
-    const std::string value = line.substr(space + 1);
+    const std::string key(line.substr(0, space));
+    const std::string_view value = line.substr(space + 1);
     const auto require_fresh = [&](bool& have) {
       if (have) {
         throw TraceIoError(context + ": duplicate header key '" + key + "'");
@@ -213,7 +203,8 @@ ReadTrace read_trace(const std::string& path) {
       } else if (value == "relative") {
         out.meta.mode = harness::GroundTruthMode::kRelativeOnly;
       } else {
-        throw TraceIoError(context + ": unknown ground_truth mode '" + value +
+        throw TraceIoError(context + ": unknown ground_truth mode '" +
+                           std::string(value) +
                            "' (expected 'reference' or 'relative')");
       }
     } else if (key == "nominal_period") {
@@ -230,8 +221,8 @@ ReadTrace read_trace(const std::string& path) {
         if (id > 0xffffffffull) throw std::runtime_error("out of range");
         out.meta.client_id = static_cast<std::uint32_t>(id);
       } catch (const std::exception& e) {
-        throw TraceIoError(context + ": malformed client id '" + value +
-                           "': " + e.what());
+        throw TraceIoError(context + ": malformed client id '" +
+                           std::string(value) + "': " + e.what());
       }
     } else if (key == "label") {
       if (!out.meta.label.empty()) {
@@ -258,48 +249,50 @@ ReadTrace read_trace(const std::string& path) {
   harness::ReplayTrace& trace = out.trace;
   trace.ground_truth = out.meta.mode;
 
-  // Sample records until the end marker.
-  bool have_end = false;
+  // Sample records until the end marker. Nothing here allocates per record
+  // unless it throws: the error context is built only on the throw paths.
+  const auto rec = [&] {
+    return context + ", " + record_context(trace.samples.size());
+  };
+  RecordFields fields;
   std::uint64_t end_exchanges = 0, end_lost = 0, end_polls = 0;
   bool prev_arrived = false;
   bool warned_tb_backwards = false;
   TscCount prev_ta = 0;
   Seconds prev_tb = 0;
-  while (!have_end) {
+  for (;;) {
     next_line();
-    if (line.compare(0, 4, "end ") == 0) {
-      const auto fields = split_fields(line.substr(4), ' ');
-      if (fields.size() != 3) {
-        throw TraceIoError(context + ": malformed end marker '" + line + "'");
+    if (line.starts_with("end ")) {
+      const auto end_fields = split_fields(line.substr(4), ' ');
+      if (end_fields.size() != 3) {
+        throw TraceIoError(context + ": malformed end marker '" +
+                           std::string(line) + "'");
       }
       try {
-        end_exchanges = parse_u64_exact(fields[0]);
-        end_lost = parse_u64_exact(fields[1]);
-        end_polls = parse_u64_exact(fields[2]);
+        end_exchanges = parse_u64_exact(end_fields[0]);
+        end_lost = parse_u64_exact(end_fields[1]);
+        end_polls = parse_u64_exact(end_fields[2]);
       } catch (const std::exception& e) {
-        throw TraceIoError(context + ": malformed end marker '" + line +
-                           "': " + e.what());
+        throw TraceIoError(context + ": malformed end marker '" +
+                           std::string(line) + "': " + e.what());
       }
-      have_end = true;
       break;
     }
-    if (line.compare(0, 2, "x\t") != 0) {
-      throw TraceIoError(context + ", " + record_context(trace.samples.size()) +
-                         ": expected a sample record, got '" + line + "'");
+    if (!line.starts_with("x\t")) {
+      throw TraceIoError(rec() + ": expected a sample record, got '" +
+                         std::string(line) + "'");
     }
-    const auto fields = split_fields(std::string_view(line).substr(2));
-    const std::string rec = context + ", " +
-                            record_context(trace.samples.size());
-    if (fields.size() != expected_fields) {
-      if (!reference && fields.size() == kReferenceFields) {
-        throw TraceIoError(rec + ": carries reference-mode truth fields in a "
-                                 "relative-only trace");
+    const std::size_t field_count = split_record(line.substr(2), fields);
+    if (field_count != expected_fields) {
+      if (!reference && field_count == kReferenceFields) {
+        throw TraceIoError(rec() + ": carries reference-mode truth fields "
+                                   "in a relative-only trace");
       }
-      if (reference && fields.size() == kRelativeFields) {
-        throw TraceIoError(rec + ": missing the truth fields a "
-                                 "reference-mode trace declares");
+      if (reference && field_count == kRelativeFields) {
+        throw TraceIoError(rec() + ": missing the truth fields a "
+                                   "reference-mode trace declares");
       }
-      throw TraceIoError(rec + ": has " + std::to_string(fields.size()) +
+      throw TraceIoError(rec() + ": has " + std::to_string(field_count) +
                          " fields, expected " +
                          std::to_string(expected_fields));
     }
@@ -307,10 +300,22 @@ ReadTrace read_trace(const std::string& path) {
     try {
       std::size_t f = 0;
       const auto next_bool = [&]() {
-        const std::string& token = fields[f++];
+        const std::string_view token = fields[f++];
         if (token == "0") return false;
         if (token == "1") return true;
-        throw std::runtime_error("malformed bool field '" + token + "'");
+        throw std::runtime_error("malformed bool field '" +
+                                 std::string(token) + "'");
+      };
+      // A stamp or truth value must be finite: NaN or inf would pass every
+      // ordering check below and only fail deep inside a scorer.
+      const auto next_finite = [&](const char* name) {
+        const std::string_view token = fields[f++];
+        const double value = parse_double_exact(token);
+        if (!std::isfinite(value)) {
+          throw std::runtime_error(std::string("non-finite ") + name + " '" +
+                                   std::string(token) + "'");
+        }
+        return value;
       };
       sample.index = parse_u64_exact(fields[f++]);
       sample.lost = next_bool();
@@ -318,27 +323,27 @@ ReadTrace read_trace(const std::string& path) {
       sample.server_changed = next_bool();
       sample.ref_available = next_bool();
       sample.raw.ta = parse_u64_exact(fields[f++]);
-      sample.raw.tb = parse_double_exact(fields[f++]);
-      sample.raw.te = parse_double_exact(fields[f++]);
+      sample.raw.tb = next_finite("tb");
+      sample.raw.te = next_finite("te");
       sample.raw.tf = parse_u64_exact(fields[f++]);
       sample.tf_counts_corrected = parse_u64_exact(fields[f++]);
       if (reference) {
-        sample.truth_ta = parse_double_exact(fields[f++]);
-        sample.truth_tb = parse_double_exact(fields[f++]);
-        sample.tg = parse_double_exact(fields[f++]);
+        sample.truth_ta = next_finite("truth_ta");
+        sample.truth_tb = next_finite("truth_tb");
+        sample.tg = next_finite("tg");
       }
     } catch (const std::exception& e) {
-      throw TraceIoError(rec + ": " + e.what());
+      throw TraceIoError(rec() + ": " + e.what());
     }
     if (!reference && sample.ref_available) {
-      throw TraceIoError(rec + ": declares a reference sample inside a "
-                               "relative-only trace");
+      throw TraceIoError(rec() + ": declares a reference sample inside a "
+                                 "relative-only trace");
     }
     sample.client_id = out.meta.client_id;
     if (!sample.lost) {
       sample.t_day = sample.raw.tb / duration::kDay;
       if (prev_arrived && sample.raw.ta <= prev_ta) {
-        throw TraceIoError(rec + ": send time Ta " +
+        throw TraceIoError(rec() + ": send time Ta " +
                            std::to_string(sample.raw.ta) +
                            " is not after the previous arrival's " +
                            std::to_string(prev_ta) +
@@ -379,9 +384,10 @@ ReadTrace read_trace(const std::string& path) {
   }
   trace.polls_enumerated = end_polls;
   if (lines.next_line(line)) {
-    throw TraceIoError(context + ": content after the end marker ('" + line +
-                       "')");
+    throw TraceIoError(context + ": content after the end marker ('" +
+                       std::string(line) + "')");
   }
+  check_readable();
   if (lines.torn()) {
     throw TraceIoError(context + ": torn trailing line after the end marker");
   }

@@ -89,9 +89,10 @@ struct ReadTrace {
 
 /// Streaming writer: header at construction, one record per write(), end
 /// marker at close(). A file abandoned before close() has no end marker and
-/// is refused by read_trace — exactly the torn-tail contract. Used as a
-/// live sink by ntp-collect (one record per poll, flushed, so a ^C keeps
-/// every completed exchange on disk).
+/// is refused by read_trace — exactly the torn-tail contract. Records are
+/// buffered; a live sink calls flush() after each one (ntp-collect does, so
+/// a ^C loses at most the in-flight line and keeps every completed
+/// exchange on disk), a one-shot export flushes once, at close().
 class TraceWriter {
  public:
   /// Opens `path` (overwriting). Throws TraceIoError on open failure or a
@@ -103,6 +104,9 @@ class TraceWriter {
   /// reference trace through a relative writer deliberately strips the
   /// ground truth (how a "what would the field see" trace is made).
   void write(const harness::ReplaySample& sample);
+
+  /// Push every record written so far to the file.
+  void flush();
 
   /// Write the end marker and close. `polls_enumerated` includes
   /// outage-skipped slots (== samples written when no enumeration gaps).
@@ -127,12 +131,19 @@ void write_trace(const std::string& path, const TraceMeta& meta,
                  const harness::ReplayTrace& trace);
 
 /// Parse and validate a trace file. Throws TraceIoError with a precise
-/// message (naming the record index where applicable) on: unreadable file,
-/// version skew, unknown/duplicate/missing header keys, wrong per-mode
-/// field count, a reference sample declared inside a relative-only trace,
-/// client ids mixing mid-file, non-monotone Ta across non-lost records,
-/// torn tails, missing end marker, end-marker count mismatches, and
-/// trailing content after `end`. Recoverable oddities land in warnings.
+/// message (naming the record index where applicable) on: a file that
+/// cannot be opened or read (a directory, an I/O error), version skew,
+/// unknown/duplicate/missing header keys, wrong per-mode field count, a
+/// non-finite tb, te or truth value, a reference sample declared inside a
+/// relative-only trace, non-monotone Ta across non-lost records, torn
+/// tails, missing end marker, end-marker count mismatches, and trailing
+/// content after `end`. Recoverable oddities land in warnings.
+///
+/// The file is streamed line by line through one reused buffer (see
+/// common/line_reader.hpp), so the reader's own memory is bounded by the
+/// longest line, whatever the file size; only the returned samples grow
+/// with it. A record costs no heap allocation beyond the samples vector's
+/// amortized growth.
 ReadTrace read_trace(const std::string& path);
 
 }  // namespace tscclock::trace

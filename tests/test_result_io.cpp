@@ -3,7 +3,8 @@
 // N-way shard split reassembles into the byte-identical single-process
 // report and trace CSV), and the checkpoint resume contract (torn tails
 // discarded, incompatible checkpoints refused, FAILED cells propagated,
-// resumed output byte-identical).
+// resumed output byte-identical, the committed-prefix offset byte-exact),
+// and precise errors for unreadable paths.
 #include "sweep/result_io.hpp"
 
 #include <gtest/gtest.h>
@@ -248,6 +249,29 @@ TEST_F(DumpFixture, RejectsTruncatedDump) {
   EXPECT_THROW(read_shard_dump(path.string()), ResultIoError);
 }
 
+TEST_F(DumpFixture, UnreadablePathsAreNamedAsSuch) {
+  try {
+    read_shard_dump((tmp_ / "does_not_exist.dump").string());
+    FAIL() << "expected ResultIoError";
+  } catch (const ResultIoError& e) {
+    EXPECT_NE(std::string(e.what()).find("cannot open"), std::string::npos)
+        << e.what();
+  }
+  // A directory opens but cannot be read: the error must say so instead of
+  // calling the dump truncated.
+  const fs::path dir = tmp_ / "a_directory.dump";
+  fs::create_directories(dir);
+  try {
+    read_shard_dump(dir.string());
+    FAIL() << "expected ResultIoError";
+  } catch (const ResultIoError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("cannot read"), std::string::npos) << what;
+    EXPECT_EQ(what.find("truncated"), std::string::npos) << what;
+  }
+  fs::remove(dir);
+}
+
 TEST_F(DumpFixture, MergeRejectsInconsistentSets) {
   // Build two valid shards of a 2-scenario, 2-lane run.
   std::vector<ShardDump> dumps(2);
@@ -474,6 +498,58 @@ TEST_F(CheckpointFixture, CorruptedMidFileRecordEndsTheCommittedPrefix) {
                       engine_.scenarios(), lanes);
   EXPECT_EQ(load.committed_scenarios, 0u);
   EXPECT_TRUE(load.discarded_tail);
+}
+
+TEST_F(CheckpointFixture, CommittedPrefixOffsetIsByteExact) {
+  static_cast<void>(engine_.run(options_));  // writes the checkpoint
+  const std::string full = read_file(options_.checkpoint_path);
+  const std::vector<std::string> lanes = labels();
+  const auto load = [&](const std::string& content) {
+    write_file(options_.checkpoint_path, content);
+    return load_checkpoint(options_.checkpoint_path, expected_header(),
+                           engine_.scenarios(), lanes);
+  };
+
+  // The untouched file: everything committed, nothing discarded.
+  CheckpointLoad whole = load(full);
+  EXPECT_EQ(whole.committed_scenarios, engine_.scenarios().size());
+  EXPECT_EQ(whole.valid_bytes, full.size());
+  EXPECT_FALSE(whole.discarded_tail);
+
+  // Cut exactly after the first done record: a clean one-scenario prefix.
+  const std::size_t first_done_end =
+      full.find('\n', full.find("done\t")) + 1;
+  CheckpointLoad clean = load(full.substr(0, first_done_end));
+  EXPECT_EQ(clean.committed_scenarios, 1u);
+  EXPECT_EQ(clean.valid_bytes, first_done_end);
+  EXPECT_FALSE(clean.discarded_tail);
+
+  // One byte of the next record: the same prefix, plus a torn tail.
+  CheckpointLoad torn = load(full.substr(0, first_done_end + 1));
+  EXPECT_EQ(torn.committed_scenarios, 1u);
+  EXPECT_EQ(torn.valid_bytes, first_done_end);
+  EXPECT_TRUE(torn.discarded_tail);
+
+  // A complete line after the last owned scenario is a discarded tail too.
+  CheckpointLoad trailing = load(full + "junk\n");
+  EXPECT_EQ(trailing.committed_scenarios, engine_.scenarios().size());
+  EXPECT_EQ(trailing.valid_bytes, full.size());
+  EXPECT_TRUE(trailing.discarded_tail);
+}
+
+TEST_F(CheckpointFixture, UnreadableCheckpointIsAPreciseUsageError) {
+  const fs::path dir = tmp_ / "a_directory.ck";
+  fs::create_directories(dir);
+  try {
+    load_checkpoint(dir.string(), expected_header(), engine_.scenarios(),
+                    labels());
+    FAIL() << "expected SweepUsageError";
+  } catch (const SweepUsageError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("cannot read"), std::string::npos) << what;
+    EXPECT_EQ(what.find("truncated"), std::string::npos) << what;
+  }
+  fs::remove(dir);
 }
 
 TEST_F(CheckpointFixture, FingerprintMismatchIsAPreciseUsageError) {

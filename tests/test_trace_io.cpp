@@ -1,7 +1,9 @@
 // The trace file format (trace/trace_io.hpp): bit-identical round trips
-// through the hexfloat edge cases (−0.0, denormals, ±inf, NaN), the
-// per-mode field-count contract, torn tails and version skew, end-marker
-// completeness witnessing, and the warning (exit-1) taxonomy.
+// through the finite hexfloat edge cases (−0.0, denormals, the extreme
+// doubles), the refusal of non-finite stamps, the per-mode field-count
+// contract, torn tails and version skew, end-marker completeness
+// witnessing, unreadable paths, the reader's line semantics, and the
+// warning (exit-1) taxonomy.
 #include "trace/trace_io.hpp"
 
 #include <gtest/gtest.h>
@@ -74,16 +76,17 @@ harness::ReplaySample make_sample(std::size_t index, TscCount ta,
   return s;
 }
 
-/// A reference trace exercising the serialization's hard cases in the
-/// unconstrained double columns (te, tg, truth_ta, truth_tb) while Ta/Tb
-/// stay monotone so the file reads back warning-free.
+/// A reference trace exercising the serialization's hard finite cases in
+/// the unconstrained double columns (te, tg, truth_ta, truth_tb) while
+/// Ta/Tb stay monotone so the file reads back warning-free. (Non-finite
+/// values are refused on read; RefusesNonFiniteStamps pins that.)
 harness::ReplayTrace gnarly_trace() {
   harness::ReplayTrace trace;
   trace.ground_truth = harness::GroundTruthMode::kReference;
   const double gnarly[] = {-0.0, std::numeric_limits<double>::denorm_min(),
-                           std::numeric_limits<double>::infinity(),
-                           -std::numeric_limits<double>::infinity(),
-                           std::numeric_limits<double>::quiet_NaN(), 0.1};
+                           std::numeric_limits<double>::max(),
+                           std::numeric_limits<double>::lowest(),
+                           -std::numeric_limits<double>::min(), 0.1};
   for (std::size_t i = 0; i < 6; ++i) {
     harness::ReplaySample s = make_sample(i, 1000 + 100 * i, 16.0 * (i + 1));
     s.tg = gnarly[i];
@@ -365,6 +368,129 @@ TEST(TraceIo, RefusesNonMonotoneSendTimes) {
   EXPECT_NE(what.find("record 1"), std::string::npos) << what;
   EXPECT_NE(what.find("1500"), std::string::npos) << what;
   EXPECT_NE(what.find("2000"), std::string::npos) << what;
+  fs::remove(path);
+}
+
+TEST(TraceIo, RefusesNonFiniteStamps) {
+  // Each column that carries a stamp or a truth value, poisoned in record 2
+  // of the canonical file (fields after the "x" tag: 6 tb, 7 te, 10-12
+  // truth_ta, truth_tb, tg).
+  const struct {
+    std::size_t field;
+    const char* value;
+    const char* name;
+  } cases[] = {{6, "nan", "tb"},        {7, "inf", "te"},
+               {7, "-inf", "te"},       {10, "nan", "truth_ta"},
+               {11, "-nan", "truth_tb"}, {12, "inf", "tg"}};
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    std::string content = canonical_file();
+    std::size_t rec = content.find("x\t");
+    for (int i = 0; i < 2; ++i) rec = content.find("x\t", rec + 1);
+    std::size_t begin = rec + 2;
+    for (std::size_t f = 0; f < c.field; ++f) {
+      begin = content.find('\t', begin) + 1;
+    }
+    const std::size_t end = content.find_first_of("\t\n", begin);
+    content.replace(begin, end - begin, c.value);
+    const std::string what = mutated_error(content, "nonfinite");
+    EXPECT_NE(what.find("record 2: non-finite " + std::string(c.name) +
+                        " '" + c.value + "'"),
+              std::string::npos)
+        << what;
+  }
+}
+
+TEST(TraceIo, RefusesUnreadablePaths) {
+  const std::string missing = read_error(temp_path("does_not_exist.trace"));
+  EXPECT_NE(missing.find("cannot open"), std::string::npos) << missing;
+
+  // A directory opens but cannot be read: that must say so, not claim the
+  // file ended early.
+  const auto dir = temp_path("a_directory.trace");
+  fs::create_directories(dir);
+  const std::string what = read_error(dir);
+  EXPECT_NE(what.find("cannot read"), std::string::npos) << what;
+  EXPECT_EQ(what.find("truncated"), std::string::npos) << what;
+  fs::remove(dir);
+}
+
+// -- Line semantics ----------------------------------------------------------
+
+TEST(TraceIo, EmptyFileIsTruncated) {
+  const std::string what = mutated_error("", "empty");
+  EXPECT_NE(what.find("truncated (unexpected end of file)"),
+            std::string::npos)
+      << what;
+}
+
+TEST(TraceIo, CrlfLineEndingsAreRefused) {
+  // Lines end at '\n' only; a CR is content, so a CRLF file fails the
+  // version gate on its first line instead of half-loading.
+  std::string content = canonical_file();
+  for (std::size_t at = content.find('\n'); at != std::string::npos;
+       at = content.find('\n', at + 2)) {
+    content.insert(at, "\r");
+  }
+  const std::string what = mutated_error(content, "crlf");
+  EXPECT_NE(what.find("format version 1\r is not supported"),
+            std::string::npos)
+      << what;
+}
+
+TEST(TraceIo, NoFinalNewlineIsATornTail) {
+  // Only the end marker's newline is missing: the line is complete text but
+  // not a complete line, so it is refused as torn, never trusted.
+  std::string content = canonical_file();
+  content.pop_back();
+  const std::string what = mutated_error(content, "nofinalnl");
+  EXPECT_NE(what.find("torn trailing line (the file ends mid-record)"),
+            std::string::npos)
+      << what;
+}
+
+TEST(TraceIo, HeaderWithoutSamples) {
+  std::string content = canonical_file();
+  content.erase(content.find("samples\n") + std::strlen("samples\n"));
+  // Header only: no end marker, so the file is incomplete.
+  const std::string what = mutated_error(content, "headeronly");
+  EXPECT_NE(what.find("truncated (unexpected end of file)"),
+            std::string::npos)
+      << what;
+
+  // Header plus an end marker over zero records: valid, but unscorable.
+  const auto path = temp_path("zero_samples.trace");
+  write_file(path, content + "end 0 0 0\n");
+  const ReadTrace loaded = read_trace(path.string());
+  EXPECT_TRUE(loaded.trace.samples.empty());
+  EXPECT_EQ(loaded.trace.exchanges, 0u);
+  ASSERT_EQ(loaded.warnings.size(), 1u);
+  EXPECT_NE(loaded.warnings[0].find("only 0 arrived"), std::string::npos)
+      << loaded.warnings[0];
+  fs::remove(path);
+}
+
+TEST(TraceIo, LongTraceStreamsAcrossReadChunks) {
+  // Enough records that the file spans many of the reader's read chunks,
+  // so records straddle chunk boundaries; the round trip must stay exact.
+  const auto path = temp_path("long.trace");
+  TraceMeta meta = reference_meta();
+  harness::ReplayTrace trace;
+  trace.ground_truth = harness::GroundTruthMode::kReference;
+  for (std::size_t i = 0; i < 5000; ++i) {
+    trace.samples.push_back(
+        make_sample(i, 1000 + 100 * i, 16.0 * (i + 1) + 1.0 / (i + 3)));
+  }
+  trace.exchanges = trace.samples.size();
+  trace.polls_enumerated = trace.samples.size();
+  write_trace(path.string(), meta, trace);
+  ASSERT_GT(fs::file_size(path), 4u * 64 * 1024);
+  const ReadTrace loaded = read_trace(path.string());
+  ASSERT_EQ(loaded.trace.samples.size(), trace.samples.size());
+  for (std::size_t i = 0; i < trace.samples.size(); ++i) {
+    SCOPED_TRACE(i);
+    expect_sample_bits(loaded.trace.samples[i], trace.samples[i]);
+  }
   fs::remove(path);
 }
 

@@ -4,13 +4,14 @@
 # ctest (see tests/CMakeLists.txt).
 #
 # Covers what the GoogleTest binaries cannot: the trace-import --validate
-# exit contract (0 clean / 1 warnings / 2 malformed, one-line diagnostics
-# naming the offending record), ntp-collect usage errors and the offline
-# --mock collection, the sweep's exit-2 refusals for malformed/missing
-# --trace-in files and online×--trace-in combinations, and the full
-# record → export → import → replay round trip: a sim-exported trace must
-# replay into byte-identical per-exchange CSV rows, and a mock-collected
-# trace must import cleanly and produce a populated relative-only row.
+# exit contract (0 clean / 1 warnings / 2 malformed or unreadable, one-line
+# diagnostics naming the offending record), ntp-collect usage errors and the
+# offline --mock collection, the sweep's exit-2 refusals for malformed,
+# missing or unreadable --trace-in files and online×--trace-in combinations,
+# and the full record → export → import → replay round trip: a sim-exported
+# trace must replay into byte-identical per-exchange CSV rows, and a
+# mock-collected trace must import cleanly and produce a populated
+# relative-only row.
 set -u
 
 SWEEP="$1"
@@ -78,6 +79,27 @@ run_expect 2 "validate: per-mode field-count violation" "$TRACE_IMPORT" -- \
   --validate "$WORK/badrecord.trace"
 expect_in_output "diagnostic names the offending record" "record 0"
 
+# A non-finite server stamp: refused, naming the record and the field.
+cat > "$WORK/nanstamp.trace" <<'EOF'
+tscclock-trace 1
+ground_truth relative
+nominal_period 0x1p-30
+poll_period 0x1p+4
+client 0
+samples
+x	0	0	0	0	0	100	0x1p+0	0x1.8p+0	200	200
+x	1	0	0	0	0	300	nan	0x1.8p+1	400	400
+end 2 0 2
+EOF
+run_expect 2 "validate: NaN server stamp" "$TRACE_IMPORT" -- \
+  --validate "$WORK/nanstamp.trace"
+expect_in_output "diagnostic names the record and the field" \
+  "record 1: non-finite tb 'nan'"
+
+# A directory opens but cannot be read: say so, not "truncated".
+run_expect 2 "validate: a directory" "$TRACE_IMPORT" -- --validate "$WORK"
+expect_in_output "diagnostic says the path cannot be read" "cannot read"
+
 # A warning-but-valid file: a single exchange is well-formed yet unscorable.
 cat > "$WORK/short.trace" <<'EOF'
 tscclock-trace 1
@@ -111,6 +133,9 @@ run_expect 2 "sweep refuses duplicate --trace-in" "$SWEEP" -- \
   --estimators offline
 run_expect 2 "sweep refuses nonexistent --trace-in" "$SWEEP" -- \
   --trace-in "$WORK/does_not_exist.trace" --estimators offline
+run_expect 2 "sweep refuses a directory as --trace-in" "$SWEEP" -- \
+  --trace-in "$WORK" --estimators offline
+expect_in_output "refusal says the path cannot be read" "cannot read"
 run_expect 2 "sweep refuses malformed --trace-in" "$SWEEP" -- \
   --trace-in "$WORK/garbage.trace" --estimators offline
 expect_in_output "refusal carries the validator's message" \
