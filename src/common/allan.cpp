@@ -96,11 +96,14 @@ void StreamingGapAdev::finish_stretch() {
 }
 
 void StreamingGapAdev::add(double time, double value) {
-  if (samples_ > 0) TSC_EXPECTS(time > prev_time_);
   ++samples_;
 
-  const bool gap =
-      stretch_samples_ > 0 && time - prev_time_ > gap_factor_ * tau0_;
+  // A stamp at or below the previous one (a server time step backwards)
+  // ends the stretch exactly like a gap: the resampler needs strictly
+  // increasing times, and one bad stamp must not cost the whole series.
+  const bool gap = stretch_samples_ > 0 &&
+                   (time <= prev_time_ ||
+                    time - prev_time_ > gap_factor_ * tau0_);
   if (gap) finish_stretch();
 
   if (stretch_samples_ == 0) {

@@ -132,6 +132,8 @@ expect_status 2 "unknown estimator name" -- \
   --estimators robust,bogus
 expect_status 2 "unknown option" -- \
   --frobnicate
+expect_status 2 "removed --streaming-reduction flag (streaming is the default)" -- \
+  --streaming-reduction
 
 # -- Replay lane end-to-end --------------------------------------------------
 expect_status 0 "tiny replay-lane sweep (robust,offline)" -- \

@@ -119,8 +119,9 @@ TEST(ResampleLinear, RejectsBadInput) {
 
 // -- StreamingGapAdev ------------------------------------------------------
 
-/// The buffered reference: split at gaps > 4·tau0, longest stretch first-
-/// wins, resample, overlapping ADEV — the exact pipeline ReducerSink uses.
+/// The buffered reference: split at gaps > 4·tau0 and at every stamp at or
+/// below its predecessor's, longest stretch first-wins, resample,
+/// overlapping ADEV — the exact pipeline ReducerSink uses.
 std::vector<AllanPoint> buffered_gap_adev(const std::vector<double>& times,
                                           const std::vector<double>& values,
                                           double tau0,
@@ -130,7 +131,8 @@ std::vector<AllanPoint> buffered_gap_adev(const std::vector<double>& times,
   std::size_t best_len = 0;
   std::size_t begin = 0;
   for (std::size_t i = 1; i <= times.size(); ++i) {
-    if (i == times.size() || times[i] - times[i - 1] > 4 * tau0) {
+    if (i == times.size() || times[i] <= times[i - 1] ||
+        times[i] - times[i - 1] > 4 * tau0) {
       if (i - begin > best_len) {
         best_len = i - begin;
         best_begin = begin;
@@ -219,6 +221,35 @@ TEST(StreamingGapAdev, MidStreamResultMatchesBufferedPrefix) {
   const auto full = streaming.result();
   ASSERT_EQ(full.size(), 1u);
   EXPECT_EQ(full[0].deviation, full_reference[0].deviation);
+}
+
+TEST(StreamingGapAdev, StepBackSplitsStretchLikeAGap) {
+  // A server stamp repeated once and later rewound (a backwards time step)
+  // must split the series, never abort it: each bad stamp starts a new
+  // stretch, and the longest stretch still wins.
+  Rng rng(31);
+  std::vector<double> times;
+  std::vector<double> values;
+  const double tau0 = 16.0;
+  make_gappy_series(rng, 3000, tau0, times, values);
+  times[500] = times[499];           // repeated stamp
+  times[2200] = times[2198] - 1.0;   // rewind below two predecessors
+
+  const std::size_t ms[] = {16, 64};
+  const auto reference = buffered_gap_adev(times, values, tau0, ms);
+  ASSERT_EQ(reference.size(), 2u);
+
+  StreamingGapAdev streaming(tau0, {16, 64});
+  for (std::size_t k = 0; k < times.size(); ++k)
+    streaming.add(times[k], values[k]);
+  EXPECT_EQ(streaming.samples(), times.size());
+  const auto result = streaming.result();
+  ASSERT_EQ(result.size(), reference.size());
+  for (std::size_t i = 0; i < result.size(); ++i) {
+    EXPECT_EQ(result[i].tau, reference[i].tau);
+    EXPECT_EQ(result[i].deviation, reference[i].deviation);
+    EXPECT_EQ(result[i].terms, reference[i].terms);
+  }
 }
 
 TEST(StreamingGapAdev, TooShortSeriesYieldsNoPoints) {

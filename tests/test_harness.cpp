@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -497,6 +498,38 @@ TEST(Sinks, StreamingReducerMatchesExactReducerOnLongTrace) {
   const double offset_scale = a.offset_error.max - a.offset_error.min;
   EXPECT_NEAR(a.offset_error.percentiles.p50, b.offset_error.percentiles.p50,
               0.10 * offset_scale);
+}
+
+TEST(Sinks, ServerStampSteppingBackSplitsAdevInBothReducers) {
+  // A server stamp repeated once and later rewound ends the ADEV stretch in
+  // both reducers, as a gap would, instead of failing the cell; the exact
+  // and streaming ADEV stay bit-identical.
+  ReducerSink exact(16.0);
+  StreamingReducerSink streaming(16.0);
+  double previous_tb = 0;
+  double before_previous_tb = 0;
+  for (std::size_t k = 0; k < 3000; ++k) {
+    SampleRecord record;
+    record.evaluated = true;
+    record.raw.tb = 16.0 * static_cast<double>(k) + 0.5 * std::sin(0.7 * k);
+    if (k == 700) record.raw.tb = previous_tb;               // repeated
+    if (k == 1900) record.raw.tb = before_previous_tb - 1.0;  // rewound
+    record.abs_clock_error =
+        1e-5 * std::sin(0.01 * k) + 2e-6 * std::cos(1.3 * k);
+    record.offset_error = record.abs_clock_error;
+    before_previous_tb = previous_tb;
+    previous_tb = record.raw.tb;
+    exact.on_sample(record);
+    streaming.on_sample(record);
+  }
+  const auto a = exact.reduce();
+  const auto b = streaming.reduce();
+  EXPECT_EQ(a.evaluated, 3000u);
+  EXPECT_EQ(b.evaluated, 3000u);
+  ASSERT_GT(a.adev_short, 0.0);
+  ASSERT_GT(a.adev_long, 0.0);
+  EXPECT_EQ(a.adev_short, b.adev_short);
+  EXPECT_EQ(a.adev_long, b.adev_long);
 }
 
 TEST(Sinks, StreamingReducerOfEmptyStreamIsZeroInitialized) {

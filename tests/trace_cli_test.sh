@@ -11,7 +11,8 @@
 # and the full record → export → import → replay round trip: a sim-exported
 # trace must replay into byte-identical per-exchange CSV rows, and a
 # mock-collected trace must import cleanly and produce a populated
-# relative-only row.
+# relative-only row. A server stamp stepping back must warn on validation
+# yet score under both reductions with the same ADEV.
 set -u
 
 SWEEP="$1"
@@ -176,6 +177,41 @@ if ! cmp -s "$WORK/direct.cut" "$WORK/replayed.cut"; then
   failures=$((failures + 1))
 else
   echo "ok: exported trace replays byte-identical to the in-memory run"
+fi
+
+# -- A server stamp stepping back costs an ADEV stretch, not the cell ---------
+# Record 300's server receive stamp is set to record 298's: a backwards step.
+# The validator still warns (exit 1), and both reductions score the cell
+# (exit 0, no FAILED row) with identical ADEV columns.
+awk -F'\t' 'BEGIN { OFS = "\t" }
+  $1 == "x" && $2 == 298 { tb = $8 }
+  $1 == "x" && $2 == 300 { $8 = tb }
+  { print }' "$WORK/ref.trace" > "$WORK/stepback.trace"
+run_expect 1 "validate: a server stamp stepping back warns" "$TRACE_IMPORT" \
+  -- --validate "$WORK/stepback.trace"
+expect_in_output "warning names the backwards step" "moves backwards"
+for reduction in streaming exact; do
+  extra=()
+  [ "$reduction" = exact ] && extra=(--exact-reduction)
+  run_expect 0 "stepped-back trace scores ($reduction reduction)" "$SWEEP" -- \
+    "${SIM_ARGS[@]}" --trace-in "$WORK/stepback.trace" "${extra[@]}"
+  if grep -q "FAILED" "$OUT"; then
+    echo "FAIL: stepped-back trace: FAILED row ($reduction reduction)" >&2
+    sed 's/^/    /' "$OUT" >&2
+    failures=$((failures + 1))
+  fi
+  # The trace cell's per-scenario row, from the ADEV(short) column on.
+  awk '/ADEV\(short\)/ && !col { col = index($0, "ADEV(short)") }
+       col && /^  trace:/ { $0 = substr($0, col); $1 = $1; print; exit }' \
+    "$OUT" > "$WORK/adev-$reduction.txt"
+done
+if [ ! -s "$WORK/adev-streaming.txt" ] ||
+   ! cmp -s "$WORK/adev-streaming.txt" "$WORK/adev-exact.txt"; then
+  echo "FAIL: stepped-back trace: ADEV differs between reductions" >&2
+  cat "$WORK/adev-streaming.txt" "$WORK/adev-exact.txt" >&2
+  failures=$((failures + 1))
+else
+  echo "ok: stepped-back trace has equal ADEV under both reductions"
 fi
 
 # -- End-to-end: offline collection through the loopback mock ----------------
