@@ -1,16 +1,22 @@
 // google-benchmark micro-benchmarks for the hot paths: per-exchange
 // processing cost of the full clock (the on-line budget is one call per
-// poll — the paper stresses low host burden), the estimator internals, and
-// the wire codec.
+// poll — the paper stresses low host burden), the estimator internals, the
+// wire codec, the random draws and the simulator's batch generation.
 #include <benchmark/benchmark.h>
 
+#include <cmath>
+#include <limits>
+#include <memory>
+#include <random>
 #include <vector>
 
 #include "common/allan.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
+#include "common/time_types.hpp"
 #include "core/clock.hpp"
 #include "core/naive.hpp"
+#include "sim/scenario.hpp"
 #include "wire/ntp_packet.hpp"
 
 namespace {
@@ -124,6 +130,65 @@ void BM_NtpPacketDecode(benchmark::State& state) {
   for (auto _ : state) benchmark::DoNotOptimize(wire::decode(bytes));
 }
 BENCHMARK(BM_NtpPacketDecode);
+
+// Rng draws next to the std::mt19937_64 + std:: distribution reference whose
+// stream they reproduce bit for bit (tests/test_rng.cpp): same values, so the
+// difference is pure cost. The draw parameter is hidden from the optimizer,
+// as a simulator config value is.
+template <class Engine, class Draw>
+void BM_Draw(benchmark::State& state, Engine engine, double param, Draw draw) {
+  benchmark::DoNotOptimize(param);
+  for (auto _ : state) benchmark::DoNotOptimize(draw(engine, param));
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+BENCHMARK_CAPTURE(BM_Draw, rng_word, Rng(1), 0.0,
+                  [](Rng& r, double) { return r.engine()(); });
+BENCHMARK_CAPTURE(BM_Draw, std_word, std::mt19937_64(1), 0.0,
+                  [](std::mt19937_64& e, double) { return e(); });
+BENCHMARK_CAPTURE(BM_Draw, rng_uniform, Rng(1), 0.0,
+                  [](Rng& r, double) { return r.uniform(); });
+BENCHMARK_CAPTURE(BM_Draw, std_uniform, std::mt19937_64(1), 0.0,
+                  [](std::mt19937_64& e, double) {
+                    return std::uniform_real_distribution<double>(0.0, 1.0)(e);
+                  });
+BENCHMARK_CAPTURE(BM_Draw, rng_normal, Rng(1), 1e-6,
+                  [](Rng& r, double stddev) { return r.normal(stddev); });
+BENCHMARK_CAPTURE(BM_Draw, std_normal, std::mt19937_64(1), 1e-6,
+                  [](std::mt19937_64& e, double stddev) {
+                    return std::normal_distribution<double>(0.0, stddev)(e);
+                  });
+BENCHMARK_CAPTURE(BM_Draw, rng_pareto, Rng(1), 2.5,
+                  [](Rng& r, double shape) { return r.pareto(shape, 1.2e-3); });
+BENCHMARK_CAPTURE(BM_Draw, std_pareto, std::mt19937_64(1), 2.5,
+                  [](std::mt19937_64& e, double shape) {
+                    const double u = std::uniform_real_distribution<double>(
+                        std::numeric_limits<double>::min(), 1.0)(e);
+                    return 1.2e-3 * (std::pow(u, -1.0 / shape) - 1.0);
+                  });
+
+// One 1024-row chunk of Testbed::generate_batch, the unit the session drive
+// pulls: every sim component's draws, the oscillator and wire quantization.
+void BM_GenerateBatch(benchmark::State& state) {
+  sim::ScenarioConfig scenario;
+  scenario.duration = 30 * duration::kDay;
+  auto testbed = std::make_unique<sim::Testbed>(scenario);
+  sim::ExchangeBatch batch;
+  constexpr std::size_t kRows = 1024;
+  int64_t rows = 0;
+  for (auto _ : state) {
+    const std::size_t made = testbed->generate_batch(batch, kRows);
+    rows += static_cast<int64_t>(made);
+    if (made < kRows) {
+      state.PauseTiming();
+      testbed = std::make_unique<sim::Testbed>(scenario);
+      state.ResumeTiming();
+    }
+    benchmark::DoNotOptimize(batch.tb_stamp.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(rows);
+}
+BENCHMARK(BM_GenerateBatch);
 
 }  // namespace
 

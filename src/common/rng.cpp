@@ -1,7 +1,5 @@
 #include "common/rng.hpp"
 
-#include "common/contracts.hpp"
-
 namespace tscclock {
 
 Rng Rng::fork(std::uint64_t label) {
@@ -10,12 +8,6 @@ Rng Rng::fork(std::uint64_t label) {
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
   z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
   return Rng(z ^ (z >> 31));
-}
-
-std::size_t Rng::categorical(const std::vector<double>& weights) {
-  TSC_EXPECTS(!weights.empty());
-  std::discrete_distribution<std::size_t> dist(weights.begin(), weights.end());
-  return dist(engine_);
 }
 
 }  // namespace tscclock
