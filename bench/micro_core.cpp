@@ -1,9 +1,11 @@
 // google-benchmark micro-benchmarks for the hot paths: per-exchange
 // processing cost of the full clock (the on-line budget is one call per
-// poll — the paper stresses low host burden), the estimator internals, the
-// wire codec, the random draws and the simulator's batch generation.
+// poll — the paper stresses low host burden), the estimator internals
+// (offset window, top window, the batch exp), the wire codec, the random
+// draws and the simulator's batch generation.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <memory>
@@ -11,11 +13,14 @@
 #include <vector>
 
 #include "common/allan.hpp"
+#include "common/libm_exp.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/time_types.hpp"
 #include "core/clock.hpp"
 #include "core/naive.hpp"
+#include "core/offset.hpp"
+#include "core/window.hpp"
 #include "sim/scenario.hpp"
 #include "wire/ntp_packet.hpp"
 
@@ -27,10 +32,11 @@ using namespace tscclock;
 class ExchangeStream {
  public:
   explicit ExchangeStream(double period) : period_(period) {}
-  core::RawExchange next() {
+  /// The next exchange, `queue` seconds of forward queueing added.
+  core::RawExchange next(double queue = 0.0) {
     core::RawExchange ex;
     const double ta = now_;
-    const double tb = ta + 450e-6;
+    const double tb = ta + 450e-6 + queue;
     const double te = tb + 40e-6;
     const double tf = te + 400e-6;
     ex.ta = static_cast<TscCount>(ta / period_);
@@ -85,6 +91,91 @@ void BM_NaiveOffset(benchmark::State& state) {
 }
 BENCHMARK(BM_NaiveOffset);
 
+// Window records from a 16 s poll with exponential queueing (mean 100 us),
+// one packet in 20 congested by up to 4 ms: weights spread over the whole
+// range, some entries far beyond exp's underflow.
+class RecordStream {
+ public:
+  explicit RecordStream(double period) : stream_(period) {
+    Rng rng(4);
+    for (auto& q : queue_)
+      q = rng.exponential(100e-6) +
+          (rng.uniform() < 0.05 ? rng.uniform(0.0, 4e-3) : 0.0);
+  }
+  core::PacketRecord next() {
+    core::PacketRecord rec;
+    rec.seq = seq_;
+    rec.stamps = stream_.next(queue_[seq_++ & 4095]);
+    rec.rtt = rec.stamps.rtt_counts();
+    min_rtt_ = std::min(min_rtt_, rec.rtt);
+    rec.error_counts = rec.rtt - min_rtt_;
+    return rec;
+  }
+
+ private:
+  ExchangeStream stream_;
+  std::vector<double> queue_ = std::vector<double>(4096);
+  std::uint64_t seq_ = 0;
+  TscDelta min_rtt_ = std::numeric_limits<TscDelta>::max();
+};
+
+// One §5.3 offset evaluation over a full window of range(0) entries (62 is
+// the default 1000 s window at a 16 s poll, 15 at a 64 s poll).
+void BM_OffsetProcess(benchmark::State& state) {
+  const double period = 2e-9;
+  core::Params params;
+  params.offset_window = 16.0 * static_cast<double>(state.range(0)) + 8.0;
+  core::OffsetEstimator offset(params);
+  RecordStream records(period);
+  const CounterTimescale clock(0, 0.0, period);
+  for (int i = 0; i < state.range(0); ++i)
+    offset.process(records.next(), clock, 1e-8, false, false);
+  for (auto _ : state)
+    benchmark::DoNotOptimize(
+        offset.process(records.next(), clock, 1e-8, false, false));
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+BENCHMARK(BM_OffsetProcess)->Arg(62)->Arg(15);
+
+// One §6.1 top-window add at the default one-week window and 16 s poll,
+// updates included as they come (one per 18900 adds).
+void BM_TopWindowAdd(benchmark::State& state) {
+  core::Params params;
+  core::TopWindow window(params);
+  RecordStream records(2e-9);
+  for (auto _ : state) benchmark::DoNotOptimize(window.add(records.next(), 0));
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+BENCHMARK(BM_TopWindowAdd);
+
+// exp over one 62-entry offset window of −z² values: one std::exp per entry
+// against exp_batch, which returns the same doubles (tests/test_libm_exp.cpp).
+template <class Exp>
+void BM_ExpBatch(benchmark::State& state, Exp exp) {
+  Rng rng(5);
+  std::vector<double> x(62);
+  for (auto& v : x) {
+    const double z = rng.exponential(2.0) + (rng.uniform() < 0.05 ? 40.0 : 0.0);
+    v = -z * z;
+  }
+  std::vector<double> out(x.size());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(x.data());
+    exp(x, out);
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * x.size()));
+  if (!exp_kernel_selected()) state.SetLabel("kernel not selected: std::exp");
+}
+BENCHMARK_CAPTURE(BM_ExpBatch, std, [](const std::vector<double>& x,
+                                       std::vector<double>& out) {
+  for (std::size_t i = 0; i < x.size(); ++i) out[i] = std::exp(x[i]);
+});
+BENCHMARK_CAPTURE(BM_ExpBatch, kernel, [](const std::vector<double>& x,
+                                          std::vector<double>& out) {
+  exp_batch(x, out);
+});
+
 void BM_WindowedMinPush(benchmark::State& state) {
   WindowedMin<std::int64_t> wm(static_cast<std::size_t>(state.range(0)));
   Rng rng(1);
@@ -137,8 +228,12 @@ BENCHMARK(BM_NtpPacketDecode);
 // as a simulator config value is.
 template <class Engine, class Draw>
 void BM_Draw(benchmark::State& state, Engine engine, double param, Draw draw) {
-  benchmark::DoNotOptimize(param);
-  for (auto _ : state) benchmark::DoNotOptimize(draw(engine, param));
+  // Read back through a volatile: after DoNotOptimize(param) the gcc 12
+  // ASAN+UBSAN build passed the draws 0 (the pareto draw's shape contract
+  // aborted the run).
+  volatile double hidden = param;
+  const double value = hidden;
+  for (auto _ : state) benchmark::DoNotOptimize(draw(engine, value));
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }
 BENCHMARK_CAPTURE(BM_Draw, rng_word, Rng(1), 0.0,

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/contracts.hpp"
+#include "common/libm_exp.hpp"
 #include "core/naive.hpp"
 
 namespace tscclock::core {
@@ -93,16 +94,19 @@ OfflineResult smooth_offsets(std::span<const RawExchange> trace,
 
   // Two-sided weighted smoothing: for packet k use every packet within
   // ± τ'/2 (the same total window width as the on-line estimator), with
-  // total error E_i + ε·|t_i − t_k|.
+  // total error E_i + ε·|t_i − t_k|. Per packet, the window's Gaussian
+  // exponents come first, then one exp_batch, then the weighted sums in
+  // window order: the same doubles as a single loop.
   result.offsets.resize(n);
   const Seconds half_window = params.offset_window / 2;
+  std::vector<double> exponent;
+  std::vector<double> weight;
   std::size_t lo = 0;
   for (std::size_t k = 0; k < n; ++k) {
     while (lo < k &&
            result.timescale.between(trace[lo].tf, trace[k].tf) > half_window)
       ++lo;
-    double weight_sum = 0;
-    double weighted = 0;
+    exponent.clear();
     Seconds best_total = std::numeric_limits<double>::infinity();
     std::size_t best_idx = k;
     for (std::size_t i = lo; i < n; ++i) {
@@ -118,9 +122,15 @@ OfflineResult smooth_offsets(std::span<const RawExchange> trace,
         best_idx = i;
       }
       const double z = total / params.offset_quality;
-      const double w = std::exp(-z * z);
-      weight_sum += w;
-      weighted += w * naive[i];
+      exponent.push_back(-z * z);
+    }
+    weight.resize(exponent.size());
+    exp_batch(exponent, weight);
+    double weight_sum = 0;
+    double weighted = 0;
+    for (std::size_t j = 0; j < weight.size(); ++j) {
+      weight_sum += weight[j];
+      weighted += weight[j] * naive[lo + j];
     }
     if (best_total <= params.extreme_quality() && weight_sum > 0.0) {
       result.offsets[k] = weighted / weight_sum;

@@ -2,14 +2,20 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 
 #include "common/contracts.hpp"
+#include "common/libm_exp.hpp"
 #include "core/naive.hpp"
 
 namespace tscclock::core {
 
 OffsetEstimator::OffsetEstimator(const Params& params)
-    : params_(params), window_(params.packets(params.offset_window)) {
+    : params_(params),
+      window_(params.packets(params.offset_window)),
+      exponent_(params.packets(params.offset_window)),
+      weight_(params.packets(params.offset_window)),
+      offset_term_(params.packets(params.offset_window)) {
   params.validate();
 }
 
@@ -50,9 +56,8 @@ OffsetEvaluation OffsetEstimator::process(const PacketRecord& packet,
       (in_warmup ? params_.warmup_quality_inflation : 1.0);
 
   // Stages (i)-(iii): total errors, weights, weighted combination.
-  double weight_sum = 0;
-  double weighted_offset = 0;
-  for (std::size_t k = 0; k < window_.size(); ++k) {
+  const std::size_t n = window_.size();
+  for (std::size_t k = 0; k < n; ++k) {
     const auto& rec = window_[k];
     const Seconds age = clock.between(rec.stamps.tf, packet.stamps.tf);
     const Seconds point_error =
@@ -62,10 +67,17 @@ OffsetEvaluation OffsetEstimator::process(const PacketRecord& packet,
     if (total_error < eval.min_total_error) eval.min_total_error = total_error;
 
     const double z = total_error / quality_scale;
-    const double w = std::exp(-z * z);
+    exponent_[k] = -z * z;
     const Seconds theta_i = naive_offset(rec.stamps, clock);
-    weight_sum += w;
-    weighted_offset += w * (theta_i - gamma_local * age);
+    offset_term_[k] = theta_i - gamma_local * age;
+  }
+  exp_batch(std::span<const double>(exponent_.data(), n),
+            std::span<double>(weight_.data(), n));
+  double weight_sum = 0;
+  double weighted_offset = 0;
+  for (std::size_t k = 0; k < n; ++k) {
+    weight_sum += weight_[k];
+    weighted_offset += weight_[k] * offset_term_[k];
   }
   eval.weight_sum = weight_sum;
 

@@ -24,10 +24,17 @@
 // the *current* clock on every evaluation, so the level-shift reaction
 // ("recalculate θ̂_i values … back to the shift point") and clock-continuity
 // rule are honoured automatically.
+//
+// Each evaluation runs in three passes: per-entry total errors, Gaussian
+// exponents and prediction-corrected offsets; one exp_batch over the
+// window; then the two weighted sums in window order. Every value is
+// computed by the same expression in the same order as a one-pass loop
+// would, so the results are the same doubles.
 #pragma once
 
 #include <cstdint>
 #include <limits>
+#include <vector>
 
 #include "common/ring_buffer.hpp"
 #include "common/time_types.hpp"
@@ -80,6 +87,12 @@ class OffsetEstimator {
  private:
   Params params_;
   RingBuffer<PacketRecord> window_;
+
+  // Per-evaluation scratch in window order, sized once to the window:
+  // −z², the exp weights, and θ̂_i − γ̂_l·age_i.
+  std::vector<double> exponent_;
+  std::vector<double> weight_;
+  std::vector<Seconds> offset_term_;
 
   // Last *measured* estimate (weighted / blend / first): basis of fallback
   // extrapolation and of the aged weight in the gap blend.

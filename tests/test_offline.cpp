@@ -3,8 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
+#include <random>
 
 #include "core/clock.hpp"
 #include "core/naive.hpp"
@@ -240,6 +243,86 @@ TEST(Offline, AgingCanBeDisabled) {
   EXPECT_EQ(result.offsets.size(), trace.size());
   EXPECT_NEAR(result.offsets[100] - theta_true(result, link, trace[100].tf),
               -link.asymmetry() / 2, 5e-6);
+}
+
+// The smoother's weight loop as one pass with a std::exp per entry, on the
+// timescale, period and minimum the smoother chose: the oracle for the
+// batched weights.
+OfflineResult single_loop_oracle(std::span<const RawExchange> trace,
+                                 const Params& params,
+                                 const OfflineResult& chosen) {
+  OfflineResult result = chosen;
+  result.poor_windows = 0;
+  const std::size_t n = trace.size();
+  std::vector<Seconds> naive(n);
+  std::vector<Seconds> point_error(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    naive[i] = naive_offset(trace[i], result.timescale);
+    point_error[i] = delta_to_seconds(
+        trace[i].rtt_counts() - result.rhat_counts, result.period);
+  }
+  const Seconds half_window = params.offset_window / 2;
+  std::size_t lo = 0;
+  for (std::size_t k = 0; k < n; ++k) {
+    while (lo < k &&
+           result.timescale.between(trace[lo].tf, trace[k].tf) > half_window)
+      ++lo;
+    double weight_sum = 0;
+    double weighted = 0;
+    Seconds best_total = std::numeric_limits<double>::infinity();
+    std::size_t best_idx = k;
+    for (std::size_t i = lo; i < n; ++i) {
+      const Seconds distance =
+          std::fabs(result.timescale.between(trace[i].tf, trace[k].tf));
+      if (i > k && distance > half_window) break;
+      const Seconds total =
+          point_error[i] +
+          (params.enable_aging ? params.aging_rate * distance : 0.0);
+      if (total < best_total) {
+        best_total = total;
+        best_idx = i;
+      }
+      const double z = total / params.offset_quality;
+      const double w = std::exp(-z * z);
+      weight_sum += w;
+      weighted += w * naive[i];
+    }
+    if (best_total <= params.extreme_quality() && weight_sum > 0.0) {
+      result.offsets[k] = weighted / weight_sum;
+    } else {
+      result.offsets[k] = naive[best_idx];
+      ++result.poor_windows;
+    }
+  }
+  return result;
+}
+
+TEST(Offline, BatchedWeightsMatchSingleLoopOracle) {
+  // Queueing on every packet, congested stretches (poor windows), a few
+  // gaps, and a server fault; default window (62 packets at a 16 s poll).
+  SyntheticLink link;
+  std::mt19937_64 gen(11);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  std::exponential_distribution<double> queue(1.0 / 150e-6);
+  std::vector<RawExchange> trace;
+  for (int i = 0; i < 20000; ++i) {
+    if (unit(gen) < 0.002) link.advance(2000.0 * unit(gen));
+    const bool congested = (i % 3000) < 80 || unit(gen) < 0.05;
+    const Seconds fault = (i % 7000) > 6950 ? 3e-3 : 0.0;
+    trace.push_back(link.next(queue(gen) + (congested ? 5e-3 * unit(gen) : 0.0),
+                              queue(gen), fault));
+  }
+  Params params;
+  const auto result = smooth_offsets(trace, params, link.config().period);
+  const auto oracle = single_loop_oracle(trace, params, result);
+  EXPECT_GT(oracle.poor_windows, 0u);
+  EXPECT_EQ(result.poor_windows, oracle.poor_windows);
+  ASSERT_EQ(result.offsets.size(), oracle.offsets.size());
+  std::size_t mismatches = 0;
+  for (std::size_t k = 0; k < trace.size(); ++k)
+    mismatches += std::memcmp(&result.offsets[k], &oracle.offsets[k],
+                              sizeof(double)) != 0;
+  EXPECT_EQ(mismatches, 0u);
 }
 
 }  // namespace
