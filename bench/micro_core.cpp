@@ -1,8 +1,9 @@
 // google-benchmark micro-benchmarks for the hot paths: per-exchange
 // processing cost of the full clock (the on-line budget is one call per
 // poll — the paper stresses low host burden), the estimator internals
-// (offset window, top window, the batch exp), the wire codec, the random
-// draws and the simulator's batch generation.
+// (offset window, top window, the batch exp), the §5.3 smoother and its
+// shift cuts, the wire codec, the random draws and the simulator's batch
+// generation.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -19,8 +20,10 @@
 #include "common/time_types.hpp"
 #include "core/clock.hpp"
 #include "core/naive.hpp"
+#include "core/offline.hpp"
 #include "core/offset.hpp"
 #include "core/window.hpp"
+#include "harness/replay.hpp"
 #include "sim/scenario.hpp"
 #include "wire/ntp_packet.hpp"
 
@@ -150,13 +153,26 @@ BENCHMARK(BM_TopWindowAdd);
 
 // exp over one 62-entry offset window of −z² values: one std::exp per entry
 // against exp_batch, which returns the same doubles (tests/test_libm_exp.cpp).
+// Args: the percentage of entries at or below −1024 (the share that
+// underflows to +0; 15–50% in the smoother's windows) and the percentage in
+// (−1024, −512], which both go to std::exp.
 template <class Exp>
 void BM_ExpBatch(benchmark::State& state, Exp exp) {
   Rng rng(5);
   std::vector<double> x(62);
+  const auto underflow = static_cast<double>(state.range(0)) / 100;
+  const auto special = static_cast<double>(state.range(1)) / 100;
   for (auto& v : x) {
-    const double z = rng.exponential(2.0) + (rng.uniform() < 0.05 ? 40.0 : 0.0);
-    v = -z * z;
+    const double pick = rng.uniform();
+    if (pick < underflow) {
+      v = -1024.0 - rng.exponential(1e-4);
+    } else if (pick < underflow + special) {
+      v = -512.0 - 511.0 * rng.uniform();
+    } else {
+      const double z =
+          rng.exponential(2.0) + (rng.uniform() < 0.05 ? 20.0 : 0.0);
+      v = -z * z;
+    }
   }
   std::vector<double> out(x.size());
   for (auto _ : state) {
@@ -170,11 +186,47 @@ void BM_ExpBatch(benchmark::State& state, Exp exp) {
 BENCHMARK_CAPTURE(BM_ExpBatch, std, [](const std::vector<double>& x,
                                        std::vector<double>& out) {
   for (std::size_t i = 0; i < x.size(); ++i) out[i] = std::exp(x[i]);
-});
+})->Args({0, 0})->Args({25, 0})->Args({50, 0})->Args({25, 8});
 BENCHMARK_CAPTURE(BM_ExpBatch, kernel, [](const std::vector<double>& x,
                                           std::vector<double>& out) {
   exp_batch(x, out);
-});
+})->Args({0, 0})->Args({25, 0})->Args({50, 0})->Args({25, 8});
+
+// A 16k-record trace at a 16 s poll (three days), with exponential
+// queueing on every packet and a congested stretch every few hours: the
+// §5.3 smoother's and the split variant's input.
+std::vector<core::RawExchange> poll16_trace() {
+  const double period = 2e-9;
+  ExchangeStream stream(period);
+  Rng rng(16);
+  std::vector<core::RawExchange> trace(16384);
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    const bool congested = i % 900 < 40;
+    trace[i] = stream.next(rng.exponential(150e-6) +
+                           (congested ? 3e-3 * rng.uniform() : 0.0));
+  }
+  return trace;
+}
+
+void BM_SmoothOffsets(benchmark::State& state) {
+  const auto trace = poll16_trace();
+  const auto params = core::Params::for_poll_period(16.0);
+  for (auto _ : state)
+    benchmark::DoNotOptimize(core::smooth_offsets(trace, params, 2e-9));
+  state.SetItemsProcessed(
+      static_cast<int64_t>(state.iterations() * trace.size()));
+}
+BENCHMARK(BM_SmoothOffsets)->Unit(benchmark::kMillisecond);
+
+void BM_ShiftCutPoints(benchmark::State& state) {
+  const auto trace = poll16_trace();
+  const auto params = core::Params::for_poll_period(16.0);
+  for (auto _ : state)
+    benchmark::DoNotOptimize(harness::shift_cut_points(trace, params, 2e-9));
+  state.SetItemsProcessed(
+      static_cast<int64_t>(state.iterations() * trace.size()));
+}
+BENCHMARK(BM_ShiftCutPoints)->Unit(benchmark::kMicrosecond);
 
 void BM_WindowedMinPush(benchmark::State& state) {
   WindowedMin<std::int64_t> wm(static_cast<std::size_t>(state.range(0)));

@@ -3,6 +3,10 @@
 #include <bit>
 #include <cmath>
 
+#if defined(__x86_64__) && defined(__GLIBC__)
+#include <immintrin.h>
+#endif
+
 #include "common/contracts.hpp"
 
 namespace tscclock {
@@ -207,12 +211,79 @@ __attribute__((target("fma"))) inline double exp_kernel(double x) {
   return __builtin_fma(scale, tmp, scale);
 }
 
-__attribute__((target("fma"))) void exp_kernel_batch(const double* x,
-                                                     double* out,
-                                                     std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
+/// exp off the main path. A finite x ≤ −1024 and −∞ are +0.0, what glibc
+/// returns there (through __math_uflow(0), which also sets errno; this does
+/// not); everything else is std::exp.
+inline double exp_off_main_path(double x) {
+  return x <= -1024.0 ? 0.0 : std::exp(x);
+}
+
+/// exp_kernel on four lanes: the same fused operations, one per lane, and
+/// the same table words fetched by gather, so every lane is the double the
+/// scalar kernel gives.
+__attribute__((target("avx2,fma"))) inline __m256d exp_kernel4(__m256d x) {
+  const __m256d shift = _mm256_set1_pd(kShift);
+  __m256d kd = _mm256_fmadd_pd(_mm256_set1_pd(kInvLn2N), x, shift);
+  const __m256i ki = _mm256_castpd_si256(kd);
+  kd = _mm256_sub_pd(kd, shift);
+  __m256d r = _mm256_fmadd_pd(kd, _mm256_set1_pd(kNegLn2HiN), x);
+  r = _mm256_fmadd_pd(kd, _mm256_set1_pd(kNegLn2LoN), r);
+  const __m256i idx =
+      _mm256_slli_epi64(_mm256_and_si256(ki, _mm256_set1_epi64x(127)), 1);
+  const __m256i top = _mm256_slli_epi64(ki, 45);
+  const auto* words = reinterpret_cast<const long long*>(kTable);
+  const __m256d tail =
+      _mm256_castsi256_pd(_mm256_i64gather_epi64(words, idx, 8));
+  const __m256d scale = _mm256_castsi256_pd(
+      _mm256_add_epi64(_mm256_i64gather_epi64(words + 1, idx, 8), top));
+  const __m256d r2 = _mm256_mul_pd(r, r);
+  __m256d tmp = _mm256_fmadd_pd(
+      r2, _mm256_fmadd_pd(r, _mm256_set1_pd(kC3), _mm256_set1_pd(kC2)),
+      _mm256_add_pd(tail, r));
+  tmp = _mm256_fmadd_pd(
+      _mm256_mul_pd(r2, r2),
+      _mm256_fmadd_pd(r, _mm256_set1_pd(kC5), _mm256_set1_pd(kC4)), tmp);
+  return _mm256_fmadd_pd(scale, tmp, scale);
+}
+
+/// Four lanes at a time, then one at a time for the last n % 4. Lanes off
+/// the main path are fixed up one by one: ≤ −1024 (the common case in the
+/// smoother's windows) by a mask, the rest by std::exp on the input saved
+/// before the block is stored, so `out` may alias `x`.
+__attribute__((target("avx2,fma"))) void exp_kernel_batch(const double* x,
+                                                           double* out,
+                                                           std::size_t n) {
+  const __m256d sign = _mm256_set1_pd(-0.0);
+  const __m256d tiny = _mm256_set1_pd(0x1p-54);
+  const __m256d huge = _mm256_set1_pd(512.0);
+  const __m256d uflow = _mm256_set1_pd(-1024.0);
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const __m256d v = _mm256_loadu_pd(x + i);
+    __m256d e = exp_kernel4(v);
+    const __m256d a = _mm256_andnot_pd(sign, v);
+    const int main = _mm256_movemask_pd(
+        _mm256_and_pd(_mm256_cmp_pd(a, tiny, _CMP_GE_OQ),
+                      _mm256_cmp_pd(a, huge, _CMP_LT_OQ)));
+    if (main != 0xF) {
+      const __m256d zero = _mm256_cmp_pd(v, uflow, _CMP_LE_OQ);
+      e = _mm256_andnot_pd(zero, e);
+      const int rest = ~(main | _mm256_movemask_pd(zero)) & 0xF;
+      if (rest != 0) {
+        alignas(32) double in[4];
+        alignas(32) double res[4];
+        _mm256_store_pd(in, v);
+        _mm256_store_pd(res, e);
+        for (int lane = 0; lane < 4; ++lane)
+          if (rest >> lane & 1) res[lane] = std::exp(in[lane]);
+        e = _mm256_load_pd(res);
+      }
+    }
+    _mm256_storeu_pd(out + i, e);
+  }
+  for (; i < n; ++i) {
     const double v = x[i];
-    out[i] = on_main_path(v) ? exp_kernel(v) : std::exp(v);
+    out[i] = on_main_path(v) ? exp_kernel(v) : exp_off_main_path(v);
   }
 }
 

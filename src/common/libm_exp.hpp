@@ -17,9 +17,21 @@
 // The probes include inputs where an unfused evaluation rounds differently
 // and the slot centres read every scale word, so a libm that runs another
 // variant (no FMA, a tunable that masks it, another algorithm or table) is
-// caught and every call falls back to std::exp. Inputs outside glibc's main
-// path (|x| < 2^-54, |x| ≥ 512, ±∞, NaN) always go to std::exp, so the
-// kernel carries no special cases.
+// caught and every call falls back to std::exp.
+//
+// The kernel runs four lanes at a time (AVX2 gathers from the same table,
+// the same fused operations per lane, so each lane is the scalar kernel's
+// double) and one at a time for the last n % 4 inputs. Lanes outside
+// glibc's main path (|x| < 2^-54, |x| ≥ 512, ±∞, NaN) are fixed up one by
+// one, so the kernel itself carries no special cases:
+//   * a finite x ≤ −1024, or −∞, is +0.0. That is what glibc returns there
+//     (__math_uflow(0) for finite x), except that glibc also sets errno to
+//     ERANGE and exp_batch leaves errno alone. The smoother's windows hold
+//     many such inputs, so they cost a mask, not a call;
+//   * everything else, (−1024, −512], tiny inputs, +∞, NaN and x ≥ 512,
+//     goes to std::exp.
+// A fixed-up lane reads its input before its block is stored, so `out` may
+// alias `x`.
 //
 // The runtime check cannot see everything: a tail word differs from
 // another libm's only far below a result's last bit, and for some of the
@@ -35,8 +47,8 @@
 
 namespace tscclock {
 
-/// out[i] = std::exp(x[i]) for every i, bit for bit. `out` must be as long as
-/// `x`; it may be the same array.
+/// out[i] = std::exp(x[i]) for every i, bit for bit (errno aside: see
+/// above). `out` must be as long as `x`; it may be the same array.
 void exp_batch(std::span<const double> x, std::span<double> out);
 
 /// Whether exp_batch runs the in-repo kernel; false means every element is a

@@ -1,5 +1,7 @@
 #include "common/serialize.hpp"
 
+#include <array>
+#include <bit>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
@@ -33,6 +35,69 @@ bool is_hex_digit(char c) {
          (c >= 'A' && c <= 'F');
 }
 
+/// Value of each hex digit character; kNotHex for every other character.
+constexpr std::uint8_t kNotHex = 0xff;
+constexpr std::array<std::uint8_t, 256> kHexValue = [] {
+  std::array<std::uint8_t, 256> table{};
+  table.fill(kNotHex);
+  for (int c = '0'; c <= '9'; ++c)
+    table[c] = static_cast<std::uint8_t>(c - '0');
+  for (int c = 'a'; c <= 'f'; ++c)
+    table[c] = static_cast<std::uint8_t>(c - 'a' + 10);
+  for (int c = 'A'; c <= 'F'; ++c)
+    table[c] = static_cast<std::uint8_t>(c - 'A' + 10);
+  return table;
+}();
+
+/// What format_double_exact writes for a normal double, [-]0x1[.h{1,13}]p±d
+/// with d in [−1022, 1023], and for zero, [-]0x0p±d, decoded straight to the
+/// bits: each such text spells one double exactly, the one strtod returns.
+/// False, with `value` untouched, for any other text.
+bool parse_canonical_hexfloat(std::string_view text, double& value) {
+  std::uint64_t bits = 0;
+  std::size_t pos = 0;
+  if (!text.empty() && text[0] == '-') {
+    bits = std::uint64_t{1} << 63;
+    pos = 1;
+  }
+  // The shortest canonical text is "0x1p+0".
+  if (text.size() < pos + 6 || text[pos] != '0' || text[pos + 1] != 'x')
+    return false;
+  const char lead = text[pos + 2];
+  if (lead != '0' && lead != '1') return false;
+  pos += 3;
+  std::uint64_t fraction = 0;
+  if (lead == '1' && text[pos] == '.') {
+    std::size_t digits = 0;
+    for (++pos; pos < text.size() && digits <= 13; ++pos, ++digits) {
+      const std::uint8_t v = kHexValue[static_cast<unsigned char>(text[pos])];
+      if (v == kNotHex) break;
+      fraction = fraction << 4 | v;
+    }
+    if (digits == 0 || digits > 13) return false;
+    fraction <<= 4 * (13 - digits);
+  }
+  if (text.size() < pos + 3 || text[pos] != 'p' ||
+      (text[pos + 1] != '+' && text[pos + 1] != '-'))
+    return false;
+  const bool negative_exponent = text[pos + 1] == '-';
+  pos += 2;
+  if (text.size() - pos > 4) return false;
+  int exponent = 0;
+  for (; pos < text.size(); ++pos) {
+    const char c = text[pos];
+    if (c < '0' || c > '9') return false;
+    exponent = exponent * 10 + (c - '0');
+  }
+  if (negative_exponent) exponent = -exponent;
+  if (lead == '1') {
+    if (exponent < -1022 || exponent > 1023) return false;
+    bits |= static_cast<std::uint64_t>(exponent + 1023) << 52 | fraction;
+  }
+  value = std::bit_cast<double>(bits);
+  return true;
+}
+
 /// strtod over the whole of `text`: true when it converts every character.
 /// strtod needs NUL termination, so the text is copied — onto the stack
 /// when it fits, which every number field of the repo's formats does.
@@ -56,10 +121,12 @@ bool strtod_whole(std::string_view text, double& value) {
 
 double parse_double_exact(std::string_view text) {
   if (text.empty()) throw std::runtime_error("empty number field");
-  // Fast path for what format_double_exact writes for finite values:
-  // [-]0x, then a hex digit or '.'. from_chars reads the rest with strtod's
-  // hexfloat grammar and rounding; whatever it leaves unread or reports out
-  // of range goes to strtod below, so edge cases keep strtod's answer.
+  double canonical = 0;
+  if (parse_canonical_hexfloat(text, canonical)) return canonical;
+  // Other hexfloats, [-]0x then a hex digit or '.' (subnormals among them):
+  // from_chars reads the rest with strtod's hexfloat grammar and rounding;
+  // whatever it leaves unread or reports out of range goes to strtod below,
+  // so edge cases keep strtod's answer.
   const bool negative = text.front() == '-';
   const std::string_view body = text.substr(negative ? 1 : 0);
   if (body.size() > 2 && body[0] == '0' && body[1] == 'x' &&

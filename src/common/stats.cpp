@@ -185,7 +185,10 @@ double P2Quantile::value() const {
     // sorted once the fifth arrives).
     double sorted[5];
     std::copy(heights_, heights_ + count_, sorted);
-    std::sort(sorted, sorted + count_);
+    // Straight insertion sort, as std::sort does for so few elements.
+    for (std::size_t i = 1; i < count_; ++i)
+      for (std::size_t j = i; j > 0 && sorted[j] < sorted[j - 1]; --j)
+        std::swap(sorted[j], sorted[j - 1]);
     return percentile(std::span<const double>(sorted, count_), q_);
   }
   return heights_[2];

@@ -53,39 +53,43 @@ OfflineSmootherEstimator::OfflineSmootherEstimator(const core::Params& params,
   TSC_EXPECTS(nominal_period > 0.0);
 }
 
-namespace {
-
-/// Offline level-shift cut points for `split=shifts`: indices where the
-/// windowed minimum RTT changes by more than the §6.2 detection threshold
-/// (shift_detect_factor × E, converted to counts via the nominal period —
-/// the sub-PPM period error is negligible against a 4E ≈ 240 µs threshold).
-/// Two-sided by construction: a cut at k compares min RTT over the window
-/// before k against the window after it, so detection has no warm-up and no
-/// congestion/shift ambiguity horizon. Cuts closer than one window to each
-/// other or to either trace edge are suppressed (smooth_offsets needs real
-/// segments, and a short segment would carry a meaningless whole-segment
-/// rate).
 std::vector<std::size_t> shift_cut_points(
-    const std::vector<core::RawExchange>& raws, const core::Params& params,
+    std::span<const core::RawExchange> raws, const core::Params& params,
     double nominal_period) {
   const std::size_t window =
       std::max<std::size_t>(params.packets(params.shift_window), 2);
-  if (raws.size() < 2 * window) return {};
+  const std::size_t n = raws.size();
+  if (n < 2 * window) return {};
   const double threshold_counts =
       params.shift_detect_factor * params.offset_quality / nominal_period;
 
-  std::vector<TscDelta> rtts(raws.size());
-  for (std::size_t i = 0; i < raws.size(); ++i) rtts[i] = raws[i].rtt_counts();
-  const auto window_min = [&](std::size_t begin, std::size_t end) {
-    return *std::min_element(rtts.begin() + static_cast<std::ptrdiff_t>(begin),
-                             rtts.begin() + static_cast<std::ptrdiff_t>(end));
-  };
+  std::vector<TscDelta> rtts(n);
+  for (std::size_t i = 0; i < n; ++i) rtts[i] = raws[i].rtt_counts();
+  // window_min[j] = min(rtts[j, j + window)) for every j ≤ n − window, in
+  // O(n) (van Herk/Gil-Werman): with the trace cut into blocks of `window`
+  // packets, each window is a suffix of one block and a prefix of the next.
+  // The block suffix minima go into the array first; one forward pass then
+  // folds in the running prefix minimum of the block holding the window's
+  // last packet.
+  std::vector<TscDelta> window_min(n);
+  for (std::size_t j = n; j-- > 0;) {
+    const bool block_end = (j + 1) % window == 0 || j + 1 == n;
+    window_min[j] = block_end ? rtts[j] : std::min(rtts[j], window_min[j + 1]);
+  }
+  TscDelta prefix = 0;
+  for (std::size_t last = 0; last < n; ++last) {
+    prefix = last % window == 0 ? rtts[last] : std::min(prefix, rtts[last]);
+    if (last + 1 >= window) {
+      TscDelta& m = window_min[last + 1 - window];
+      m = std::min(m, prefix);
+    }
+  }
 
   std::vector<std::size_t> cuts;
   std::size_t i = window;
-  while (i + window <= raws.size()) {
-    const TscDelta left = window_min(i - window, i);
-    const TscDelta right = window_min(i, i + window);
+  while (i + window <= n) {
+    const TscDelta left = window_min[i - window];
+    const TscDelta right = window_min[i];
     const double separation = static_cast<double>(right - left);
     if (std::abs(separation) <= threshold_counts) {
       ++i;
@@ -104,7 +108,7 @@ std::vector<std::size_t> shift_cut_points(
         }
       }
     }
-    if (cut >= window && cut + window <= raws.size() &&
+    if (cut >= window && cut + window <= n &&
         (cuts.empty() || cut - cuts.back() >= window)) {
       cuts.push_back(cut);
     }
@@ -112,8 +116,6 @@ std::vector<std::size_t> shift_cut_points(
   }
   return cuts;
 }
-
-}  // namespace
 
 ReplayOutput OfflineSmootherEstimator::process_trace(
     std::span<const ReplaySample> samples) {

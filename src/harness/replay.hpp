@@ -193,6 +193,20 @@ class OfflineSmootherEstimator final : public ReplayEstimator {
   std::size_t segments_ = 0;
 };
 
+/// Offline level-shift cut points for `split=shifts`: indices where the
+/// windowed minimum RTT changes by more than the §6.2 detection threshold
+/// (shift_detect_factor × E, converted to counts via the nominal period —
+/// the sub-PPM period error is negligible against a 4E ≈ 240 µs threshold).
+/// Two-sided by construction: a cut at k compares min RTT over the window
+/// before k against the window after it, so detection has no warm-up and no
+/// congestion/shift ambiguity horizon. Cuts closer than one window to each
+/// other or to either trace edge are suppressed (smooth_offsets needs real
+/// segments, and a short segment would carry a meaningless whole-segment
+/// rate). Linear in the trace length.
+[[nodiscard]] std::vector<std::size_t> shift_cut_points(
+    std::span<const core::RawExchange> raws, const core::Params& params,
+    double nominal_period);
+
 /// Scores one ReplayEstimator over a recorded trace through the identical
 /// reduction code path as the online lanes: one SampleRecord per sample to
 /// the attached SampleSinks, in trace order. The record fields mirror

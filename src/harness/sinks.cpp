@@ -174,16 +174,19 @@ void CsvTraceSink::on_sample(const SampleRecord& r) {
   // The row vector is a member reused across calls: a long trace dump emits
   // millions of rows and must not pay a fresh vector per record.
   row_.resize(trace_columns().size());
+  const auto set_flag = [](std::string& cell, bool on) {
+    cell.assign(1, on ? '1' : '0');
+  };
   std::size_t c = 0;
   row_[c++] = scenario_;
   row_[c++] = estimator_;
   row_[c++] = format_count(r.index);
-  row_[c++] = r.lost ? "1" : "0";
-  row_[c++] = r.ref_available ? "1" : "0";
-  row_[c++] = r.in_warmup ? "1" : "0";
-  row_[c++] = r.evaluated ? "1" : "0";
-  row_[c++] = r.server_changed ? "1" : "0";
-  row_[c++] = r.warmed_up ? "1" : "0";
+  set_flag(row_[c++], r.lost);
+  set_flag(row_[c++], r.ref_available);
+  set_flag(row_[c++], r.in_warmup);
+  set_flag(row_[c++], r.evaluated);
+  set_flag(row_[c++], r.server_changed);
+  set_flag(row_[c++], r.warmed_up);
   row_[c++] = strfmt("%.6f", r.t_day);
   row_[c++] = strfmt("%.6f", r.raw.tb);
   row_[c++] = strfmt("%.6f", r.truth_tb);
@@ -194,9 +197,9 @@ void CsvTraceSink::on_sample(const SampleRecord& r) {
   row_[c++] = strfmt("%.9e", r.report.point_error);
   row_[c++] = strfmt("%.9e", r.abs_clock_error);
   row_[c++] = strfmt("%.12e", r.period);
-  row_[c++] = r.report.sanity_triggered ? "1" : "0";
-  row_[c++] = upshift ? "1" : "0";
-  row_[c++] = downshift ? "1" : "0";
+  set_flag(row_[c++], r.report.sanity_triggered);
+  set_flag(row_[c++], upshift);
+  set_flag(row_[c++], downshift);
   row_[c++] = format_count(r.client_id);
   writer_.write_row(row_);
 }

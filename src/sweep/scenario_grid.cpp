@@ -228,7 +228,10 @@ std::vector<SweepScenario> expand_grid(const GridSpec& grid) {
             // seed): adding the fleet axis must not re-seed or rename any
             // pre-fleet scenario. Non-single cells append the canonical
             // fleet label, which also keys their derived seed.
-            if (!fleet.single()) scenario.name += "/" + fleet.label();
+            if (!fleet.single()) {
+              scenario.name += '/';
+              scenario.name += fleet.label();
+            }
             scenario.fleet = fleet;
             // Identity = name = seed derivation input: a duplicate axis
             // value (or two schedules sharing a name) would silently

@@ -314,7 +314,7 @@ TEST(FleetSweep, QuotedScenarioNamesSurviveTraceCsvMerge) {
   single.threads = 1;
   single.discard_warmup = 10 * duration::kMinute;
   single.csv_path = (tmp / "single.csv").string();
-  engine.run(single);
+  static_cast<void>(engine.run(single));
   ASSERT_TRUE(engine.csv_error().empty()) << engine.csv_error();
   const std::string reference_csv = read_file(tmp / "single.csv");
   ASSERT_NE(reference_csv.find("\"ServerLoc"), std::string::npos)
@@ -325,9 +325,11 @@ TEST(FleetSweep, QuotedScenarioNamesSurviveTraceCsvMerge) {
   for (std::size_t i = 1; i <= 2; ++i) {
     sweep::SweepOptions options = single;
     options.shard = sweep::ShardSpec{i, 2};
-    options.csv_path = (tmp / ("s" + std::to_string(i) + ".csv")).string();
-    options.dump_path = (tmp / ("s" + std::to_string(i) + ".dump")).string();
-    engine.run(options);
+    std::string stem = "s";
+    stem += std::to_string(i);
+    options.csv_path = (tmp / (stem + ".csv")).string();
+    options.dump_path = (tmp / (stem + ".dump")).string();
+    static_cast<void>(engine.run(options));
     ASSERT_TRUE(engine.dump_error().empty()) << engine.dump_error();
     dumps.push_back(sweep::read_shard_dump(options.dump_path));
     traces.push_back(options.csv_path);

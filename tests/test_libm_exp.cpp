@@ -13,6 +13,7 @@
 #include <cstring>
 #include <limits>
 #include <random>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -51,6 +52,19 @@ void expect_matches_libm(const std::vector<double>& xs) {
     }
   }
   EXPECT_EQ(mismatches, 0u) << "of " << xs.size() << " inputs";
+}
+
+/// exp_batch(xs, xs): every result must still be std::exp of the input it
+/// overwrote.
+void expect_in_place_matches_libm(const std::vector<double>& xs) {
+  std::vector<double> in_place = xs;
+  exp_batch(in_place, in_place);
+  std::size_t mismatches = 0;
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    const double want = libm_exp(xs[i]);
+    mismatches += std::memcmp(&in_place[i], &want, sizeof want) != 0;
+  }
+  EXPECT_EQ(mismatches, 0u) << "of " << xs.size() << " inputs, in place";
 }
 
 /// The host condition under which glibc's ifunc picks __exp_fma.
@@ -266,6 +280,84 @@ TEST(LibmExp, BatchMayAliasItsInput) {
     const double want = libm_exp(in[i]);
     EXPECT_EQ(std::memcmp(&xs[i], &want, sizeof want), 0) << hex(in[i]);
   }
+}
+
+/// One input of each kind the 4-lane path treats differently: main path,
+/// underflow to +0 (≤ −1024, −∞), glibc's special-case range (−1024, −512]
+/// and [512, ∞), tiny, ±0, +∞ and NaN.
+std::vector<double> lane_kinds() {
+  const double inf = std::numeric_limits<double>::infinity();
+  return {-3.5,
+          0x1.8p-3,
+          -1024.0,
+          -std::numeric_limits<double>::max(),
+          -inf,
+          -0x1.fffffffffffffp+9,
+          -745.0,
+          -512.0,
+          600.0,
+          1e-20,
+          -std::numeric_limits<double>::denorm_min(),
+          0.0,
+          -0.0,
+          inf,
+          std::numeric_limits<double>::quiet_NaN()};
+}
+
+TEST(LibmExp, EveryLengthAndTailMatches) {
+  // Lengths 0..9 cover no block, whole blocks and every tail length; the
+  // inputs start at every offset of a buffer, so blocks are not aligned.
+  std::mt19937_64 gen(4);
+  const std::vector<double> kinds = lane_kinds();
+  std::vector<double> buffer(16);
+  std::vector<double> out(16);
+  for (std::size_t len = 0; len <= 9; ++len) {
+    for (std::size_t start = 0; start + len <= buffer.size(); ++start) {
+      for (int round = 0; round < 20; ++round) {
+        for (auto& x : buffer) x = kinds[gen() % kinds.size()];
+        const std::span<const double> in(buffer.data() + start, len);
+        exp_batch(in, std::span<double>(out.data() + start, len));
+        for (std::size_t i = 0; i < len; ++i) {
+          const double want = libm_exp(in[i]);
+          ASSERT_EQ(std::memcmp(&out[start + i], &want, sizeof want), 0)
+              << "exp(" << hex(in[i]) << ") at " << i << " of " << len;
+        }
+      }
+    }
+  }
+}
+
+TEST(LibmExp, EveryMixOfLaneKindsMatches) {
+  // All 15^4 four-lane blocks of lane kinds, so each block position sees
+  // every kind next to every other one, in and out of place.
+  const std::vector<double> kinds = lane_kinds();
+  const std::size_t m = kinds.size();
+  std::vector<double> xs;
+  xs.reserve(4 * m * m * m * m);
+  for (std::size_t a = 0; a < m; ++a)
+    for (std::size_t b = 0; b < m; ++b)
+      for (std::size_t c = 0; c < m; ++c)
+        for (std::size_t d = 0; d < m; ++d)
+          for (const std::size_t k : {a, b, c, d}) xs.push_back(kinds[k]);
+  expect_matches_libm(xs);
+  expect_in_place_matches_libm(xs);
+}
+
+TEST(LibmExp, SeededWindowExponentsMatch) {
+  // The smoother's mix: −z² with most lanes on the main path, a share at or
+  // below −1024 and a few in (−1024, −512], shuffled so that blocks mix
+  // them; checked out of place and in place.
+  std::mt19937_64 gen(20261021);
+  std::uniform_real_distribution<double> main_path(-511.0, -0x1p-50);
+  std::uniform_real_distribution<double> special(-1023.999, -512.0);
+  std::uniform_real_distribution<double> underflow(-1e6, -1024.0);
+  std::vector<double> xs(1 << 18);
+  for (auto& x : xs) {
+    const auto pick = gen() % 100;
+    x = pick < 40 ? underflow(gen) : pick < 48 ? special(gen) : main_path(gen);
+  }
+  expect_matches_libm(xs);
+  expect_in_place_matches_libm(xs);
 }
 
 }  // namespace

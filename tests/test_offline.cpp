@@ -297,6 +297,22 @@ OfflineResult single_loop_oracle(std::span<const RawExchange> trace,
   return result;
 }
 
+/// Smooths `trace` and requires every offset to be the oracle's, bit for
+/// bit, along with the poor-window count.
+OfflineResult expect_matches_oracle(std::span<const RawExchange> trace,
+                                    const Params& params, double period) {
+  const auto result = smooth_offsets(trace, params, period);
+  const auto oracle = single_loop_oracle(trace, params, result);
+  EXPECT_EQ(result.poor_windows, oracle.poor_windows);
+  EXPECT_EQ(result.offsets.size(), oracle.offsets.size());
+  std::size_t mismatches = 0;
+  for (std::size_t k = 0; k < trace.size(); ++k)
+    mismatches += std::memcmp(&result.offsets[k], &oracle.offsets[k],
+                              sizeof(double)) != 0;
+  EXPECT_EQ(mismatches, 0u);
+  return result;
+}
+
 TEST(Offline, BatchedWeightsMatchSingleLoopOracle) {
   // Queueing on every packet, congested stretches (poor windows), a few
   // gaps, and a server fault; default window (62 packets at a 16 s poll).
@@ -312,17 +328,110 @@ TEST(Offline, BatchedWeightsMatchSingleLoopOracle) {
     trace.push_back(link.next(queue(gen) + (congested ? 5e-3 * unit(gen) : 0.0),
                               queue(gen), fault));
   }
+  const auto result =
+      expect_matches_oracle(trace, Params{}, link.config().period);
+  EXPECT_GT(result.poor_windows, 0u);
+}
+
+TEST(Offline, MostlyUnderflowingWindowsMatchOracle) {
+  // Queueing of a few ms against E = 60 µs: most window exponents are at or
+  // below −1024 (weights of exactly +0), some in (−1024, −512], and both
+  // with and without aging.
+  for (const bool aging : {true, false}) {
+    SyntheticLink link;
+    std::mt19937_64 gen(12);
+    std::exponential_distribution<double> queue(1.0 / 2.5e-3);
+    std::vector<RawExchange> trace;
+    for (int i = 0; i < 5000; ++i)
+      trace.push_back(link.next(queue(gen), queue(gen) / 10));
+    Params params;
+    params.enable_aging = aging;
+    expect_matches_oracle(trace, params, link.config().period);
+  }
+}
+
+TEST(Offline, TiedTotalsFallBackToTheFirstBestPacket) {
+  // Without aging, equal RTTs give equal total errors. Most packets take
+  // one of three RTTs more than E** above the minimum, so most windows are
+  // poor and their least total is held by several packets with different
+  // naive offsets: the fallback must be the first of them, as in the plain
+  // scan.
+  const double period = 2e-9;
+  std::mt19937_64 gen(15);
+  std::uniform_real_distribution<double> jitter(0.0, 100e-6);
+  std::vector<RawExchange> trace(4000);
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    const TscDelta rtt =
+        i % 997 == 0
+            ? 400'000
+            : 800'000 + 50'000 * static_cast<TscDelta>(gen() % 3);
+    auto& ex = trace[i];
+    ex.ta = 1'000'000'000ull + i * 8'000'000'000ull;
+    ex.tf = ex.ta + static_cast<TscCount>(rtt);
+    ex.tb = static_cast<double>(ex.ta) * period + 300e-6 + jitter(gen);
+    ex.te = ex.tb + 40e-6;
+  }
   Params params;
-  const auto result = smooth_offsets(trace, params, link.config().period);
-  const auto oracle = single_loop_oracle(trace, params, result);
-  EXPECT_GT(oracle.poor_windows, 0u);
-  EXPECT_EQ(result.poor_windows, oracle.poor_windows);
-  ASSERT_EQ(result.offsets.size(), oracle.offsets.size());
-  std::size_t mismatches = 0;
-  for (std::size_t k = 0; k < trace.size(); ++k)
-    mismatches += std::memcmp(&result.offsets[k], &oracle.offsets[k],
-                              sizeof(double)) != 0;
-  EXPECT_EQ(mismatches, 0u);
+  params.enable_aging = false;
+  const auto result = expect_matches_oracle(trace, params, period);
+  EXPECT_GT(result.poor_windows, trace.size() / 2);
+}
+
+TEST(Offline, NonMonotoneTfMatchesOracle) {
+  // Neighbours swapped, single packets stamped far in the past or future,
+  // and stretches replayed from earlier: the window still ends at the first
+  // later packet beyond half a window, whatever the order of Tf.
+  SyntheticLink link;
+  std::mt19937_64 gen(13);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  std::exponential_distribution<double> queue(1.0 / 150e-6);
+  std::vector<RawExchange> trace;
+  for (int i = 0; i < 6000; ++i) {
+    trace.push_back(link.next(queue(gen), queue(gen)));
+    const double pick = unit(gen);
+    if (pick < 0.05 && trace.size() >= 2) {
+      std::swap(trace[trace.size() - 1], trace[trace.size() - 2]);
+    } else if (pick < 0.06) {
+      SyntheticLink stray = link;
+      stray.advance((unit(gen) < 0.5 ? -1.0 : 1.0) * 3000.0 * unit(gen));
+      trace.back() = stray.next(queue(gen), queue(gen));
+    } else if (pick < 0.062) {
+      link.advance(-2000.0 * unit(gen));
+    }
+  }
+  expect_matches_oracle(trace, Params{}, link.config().period);
+}
+
+TEST(Offline, CounterJumpBeyond2To51MatchesOracle) {
+  // Gaps of 2^51 counts and more (about 52 days at 2 ns), forward and, by
+  // single stray packets, backward: those distances are not converted four
+  // at a time, and the windows around them must still match.
+  SyntheticLink link;
+  std::mt19937_64 gen(14);
+  std::exponential_distribution<double> queue(1.0 / 150e-6);
+  const double jump = 0x1p51 * link.config().period;
+  std::vector<RawExchange> trace;
+  for (int i = 0; i < 3000; ++i) {
+    if (i % 700 == 350) link.advance(jump * (1.0 + (i % 3)));
+    trace.push_back(link.next(queue(gen), queue(gen)));
+    if (i % 500 == 123) {
+      SyntheticLink stray = link;
+      stray.advance(-1.5 * jump);
+      trace.back() = stray.next(queue(gen), queue(gen));
+    }
+  }
+  expect_matches_oracle(trace, Params{}, link.config().period);
+
+  // A 10 THz counter: 2^51 counts are 225 s, so most windows hold packets
+  // that far from their centre, and their weights and the window's end
+  // depend on those distances.
+  SyntheticLink::Config fast;
+  fast.period = 1e-13;
+  SyntheticLink fast_link(fast);
+  std::vector<RawExchange> fast_trace;
+  for (int i = 0; i < 2000; ++i)
+    fast_trace.push_back(fast_link.next(queue(gen), queue(gen)));
+  expect_matches_oracle(fast_trace, Params{}, fast.period);
 }
 
 }  // namespace

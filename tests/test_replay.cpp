@@ -19,8 +19,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
+#include <random>
 #include <vector>
 
 #include "common/contracts.hpp"
@@ -178,9 +180,9 @@ TEST(TraceRecorder, SessionWithoutRecordingRefusesTraceAccess) {
   SessionConfig config;
   config.params = core::Params::for_poll_period(scenario.poll_period);
   ClockSession session(config, testbed.nominal_period());
-  EXPECT_THROW(session.trace(), ContractViolation);
+  EXPECT_THROW((void)session.trace(), ContractViolation);
   MultiEstimatorSession multi;
-  EXPECT_THROW(multi.trace(), ContractViolation);
+  EXPECT_THROW((void)multi.trace(), ContractViolation);
 }
 
 TEST(TraceRecorder, MultiSessionRecordsOnceForAllLanes) {
@@ -387,6 +389,96 @@ TEST(OfflineSplit, LevelShiftTraceIsCutAndRebasesTheMinimum) {
   ASSERT_EQ(plain.offsets.size(), split.offsets.size());
   EXPECT_NE(plain.offsets, split.offsets);
   EXPECT_TRUE(std::isfinite(split.worst));
+}
+
+/// shift_cut_points as first written: both window minima rescanned with
+/// std::min_element for every candidate index. The oracle for the
+/// linear-time sliding minimum.
+std::vector<std::size_t> brute_force_shift_cuts(
+    const std::vector<core::RawExchange>& raws, const core::Params& params,
+    double nominal_period) {
+  const std::size_t window =
+      std::max<std::size_t>(params.packets(params.shift_window), 2);
+  if (raws.size() < 2 * window) return {};
+  const double threshold_counts =
+      params.shift_detect_factor * params.offset_quality / nominal_period;
+  std::vector<TscDelta> rtts(raws.size());
+  for (std::size_t i = 0; i < raws.size(); ++i) rtts[i] = raws[i].rtt_counts();
+  const auto window_min = [&](std::size_t begin, std::size_t end) {
+    return *std::min_element(rtts.begin() + static_cast<std::ptrdiff_t>(begin),
+                             rtts.begin() + static_cast<std::ptrdiff_t>(end));
+  };
+  std::vector<std::size_t> cuts;
+  std::size_t i = window;
+  while (i + window <= raws.size()) {
+    const TscDelta left = window_min(i - window, i);
+    const TscDelta right = window_min(i, i + window);
+    const double separation = static_cast<double>(right - left);
+    if (std::abs(separation) <= threshold_counts) {
+      ++i;
+      continue;
+    }
+    std::size_t cut = i;
+    if (separation < 0) {
+      for (std::size_t j = i; j < i + window; ++j) {
+        if (static_cast<double>(rtts[j] - left) < -threshold_counts) {
+          cut = j;
+          break;
+        }
+      }
+    }
+    if (cut >= window && cut + window <= raws.size() &&
+        (cuts.empty() || cut - cuts.back() >= window)) {
+      cuts.push_back(cut);
+    }
+    i = cut + window;
+  }
+  return cuts;
+}
+
+TEST(OfflineSplit, LinearShiftCutsEqualBruteForce) {
+  // Seeded RTT series on a 1 ns counter (threshold 240k counts at the
+  // default E): a few levels far apart, plateaus of one repeated value,
+  // noise drawn from a handful of values (so window minima tie), and steps
+  // up and down both longer and shorter than a window. Windows from the
+  // smallest allowed (2) to the default (156 at a 16 s poll), over lengths
+  // that are not multiples of the window.
+  const double period = 1e-9;
+  std::mt19937_64 gen(20261021);
+  std::size_t total_cuts = 0;
+  for (const Seconds shift_window : {16.0, 48.0, 112.0, 1000.0, 2500.0}) {
+    core::Params params = core::Params::for_poll_period(16.0);
+    params.shift_window = shift_window;
+    for (int round = 0; round < 40; ++round) {
+      const std::size_t n = 50 + gen() % 3000;
+      std::vector<core::RawExchange> raws(n);
+      TscDelta level = 1'000'000;
+      TscCount ta = 1ull << 40;
+      std::size_t plateau = 0;
+      TscDelta plateau_rtt = 0;
+      for (auto& raw : raws) {
+        if (gen() % 200 == 0)
+          level = 1'000'000 + static_cast<TscDelta>(gen() % 4) * 300'000;
+        TscDelta rtt = level + static_cast<TscDelta>(gen() % 5) * 50'000;
+        if (plateau == 0 && gen() % 100 == 0) {
+          plateau = 1 + gen() % 400;
+          plateau_rtt = rtt;
+        }
+        if (plateau > 0) {
+          rtt = plateau_rtt;
+          --plateau;
+        }
+        raw.ta = ta;
+        raw.tf = ta + static_cast<TscCount>(rtt);
+        ta += 16'000'000'000ull;
+      }
+      const auto want = brute_force_shift_cuts(raws, params, period);
+      ASSERT_EQ(shift_cut_points(raws, params, period), want)
+          << "window " << shift_window << " round " << round;
+      total_cuts += want.size();
+    }
+  }
+  EXPECT_GT(total_cuts, 100u) << "the series must exercise real cuts";
 }
 
 // -- Registry (replay side) ------------------------------------------------

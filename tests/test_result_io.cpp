@@ -479,12 +479,12 @@ TEST_F(CheckpointFixture, TornTrailingRecordIsDiscardedAndRecomputed) {
   }
 
   // Resuming recomputes the discarded cell(s) to the identical bytes.
-  engine_.run(options_);
+  static_cast<void>(engine_.run(options_));
   EXPECT_EQ(read_file(options_.checkpoint_path), full);
 }
 
 TEST_F(CheckpointFixture, CorruptedMidFileRecordEndsTheCommittedPrefix) {
-  engine_.run(options_);
+  static_cast<void>(engine_.run(options_));
   std::string content = read_file(options_.checkpoint_path);
   // Flip a digit inside the *first* done record's scenario index: every
   // later record is unreachable (corruption is never skipped over).
@@ -553,7 +553,7 @@ TEST_F(CheckpointFixture, UnreadableCheckpointIsAPreciseUsageError) {
 }
 
 TEST_F(CheckpointFixture, FingerprintMismatchIsAPreciseUsageError) {
-  engine_.run(options_);
+  static_cast<void>(engine_.run(options_));
   CheckpointHeader other = expected_header();
   other.run_hash ^= 0xff;
   try {
@@ -569,7 +569,7 @@ TEST_F(CheckpointFixture, FingerprintMismatchIsAPreciseUsageError) {
 }
 
 TEST_F(CheckpointFixture, ShardAndCsvMismatchesAreUsageErrors) {
-  engine_.run(options_);
+  static_cast<void>(engine_.run(options_));
   CheckpointHeader wrong_shard = expected_header();
   wrong_shard.shard = ShardSpec{2, 3};
   EXPECT_THROW(load_checkpoint(options_.checkpoint_path, wrong_shard,
@@ -582,7 +582,7 @@ TEST_F(CheckpointFixture, ShardAndCsvMismatchesAreUsageErrors) {
 }
 
 TEST_F(CheckpointFixture, RunRefusesIncompatibleCheckpointBeforeAnyWork) {
-  engine_.run(options_);
+  static_cast<void>(engine_.run(options_));
   // Same checkpoint file, different master seed: the resume must be
   // refused as a usage error before any scenario runs.
   GridSpec reseeded = grid_;

@@ -1,13 +1,15 @@
-// common/serialize's exact double round trip. parse_double_exact takes a
-// from_chars fast path for the hexfloats format_double_exact writes, and
-// must still accept exactly what a whole-text strtod accepts and return the
-// identical bits. Pinned against a plain strtod reference over random bit
+// common/serialize's exact double round trip. parse_double_exact decodes
+// the canonical hexfloats format_double_exact writes for normal doubles and
+// zero straight to their bits, takes a from_chars path for other hexfloats,
+// and must still accept exactly what a whole-text strtod accepts and return
+// the identical bits. Pinned against a plain strtod reference over random bit
 // patterns, random long hex mantissas (rounding, subnormals, overflow), and
 // an edge corpus of prefixes, signs, spacing and trailing garbage.
 #include "common/serialize.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
@@ -78,6 +80,75 @@ TEST(ParseDoubleExact, RandomBitPatternsRoundTripAndMatchStrtod) {
   }
 }
 
+TEST(ParseDoubleExact, MillionFormattedDoublesRoundTripBitExact) {
+  // Every kind of finite double format_double_exact writes: random bit
+  // patterns (nearly all normal), subnormals, mantissas with every number
+  // of trailing zero digits (1..13 digits after the point, or none), and
+  // the extremes. Each must come back bit for bit, as strtod reads it.
+  std::mt19937_64 rng(20261021);
+  const double max = std::numeric_limits<double>::max();
+  const double min_normal = std::numeric_limits<double>::min();
+  const double denorm = std::numeric_limits<double>::denorm_min();
+  std::vector<double> values = {0.0,         -0.0,        max,   -max,
+                                min_normal,  -min_normal, denorm, -denorm,
+                                min_normal - denorm, 1.0, -1.0, 0x1p1023,
+                                0x1p-1022,   0x1.fffffffffffffp+0};
+  for (int i = 0; i < 1'000'000; ++i) {
+    const std::uint64_t bits = rng();
+    switch (i % 4) {
+      case 0:
+        values.push_back(from_bits(bits));
+        break;
+      case 1:  // subnormal
+        values.push_back(from_bits((bits & (std::uint64_t{1} << 63)) |
+                                   (bits & ((std::uint64_t{1} << 52) - 1))));
+        break;
+      default: {  // a random number of trailing zero hex digits
+        const int zeros = static_cast<int>(rng() % 14);
+        const std::uint64_t mantissa =
+            zeros == 13 ? 0 : (bits & ((std::uint64_t{1} << 52) - 1)) >>
+                                  (4 * zeros) << (4 * zeros);
+        values.push_back(from_bits((bits & ~((std::uint64_t{1} << 52) - 1)) |
+                                   mantissa));
+      }
+    }
+  }
+  std::size_t mismatches = 0;
+  for (const double value : values) {
+    if (!std::isfinite(value)) continue;
+    const std::string text = format_double_exact(value);
+    const std::uint64_t got = bits_of(parse_double_exact(text));
+    if (got != bits_of(value) || got != strtod_reference(text).bits) {
+      if (++mismatches <= 5) ADD_FAILURE() << text;
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+}
+
+TEST(ParseDoubleExact, NonCanonicalHexSpellingsMatchStrtod) {
+  // Spellings of the same values that the canonical decoder must refuse
+  // and hand on: other leading digits, uppercase, padded or unsigned
+  // exponents, too many digits, an empty fraction, zero with a fraction,
+  // and exponents outside the normal range.
+  const std::vector<std::string> corpus = {
+      "0x2p+0",          "0x0.8p+1",          "0x10p-4",
+      "0x1.8P+3",        "0X1.8p+3",          "0x1.ABCp+3",
+      "0x1.abc0p+3",     "0x1.8p3",           "0x01.8p+3",
+      "0x1.8p+0003",     "0x1.8p+00003",      "+0x1.8p+3",
+      "0x1.p+3",         "0x1.00000000000000p+0",
+      "0x1.fffffffffffff0p+0",                "0x1.fffffffffffff8p+0",
+      "0x0.0p+0",        "-0x0p-5",           "0x0p+99999",
+      "0x1p-1023",       "0x1.8p-1074",       "0x1p+1024",
+      "0x1p-1022",       "0x1p+1023",         "-0x1.fffffffffffffp+1023",
+      "0x1p+0 ",         "0x1p+",             "0x1.8p+3x",
+      "0x1.gp+0",        "0x1p+1e3",          "-0x",
+      "0x1.0000000000001p+0",                 "0x1.00000000000001p+0"};
+  for (const auto& text : corpus) {
+    SCOPED_TRACE(text);
+    expect_parity(text);
+  }
+}
+
 TEST(ParseDoubleExact, RandomLongHexMantissasMatchStrtod) {
   // More hex digits than a double holds, binary points anywhere and
   // exponents from deep subnormal to overflow: the rounding, underflow and
@@ -96,7 +167,8 @@ TEST(ParseDoubleExact, RandomLongHexMantissasMatchStrtod) {
     }
     if (rng() % 8 != 0) {
       const long exponent = static_cast<long>(rng() % 2300) - 1150;
-      text += (rng() % 2 ? "p" : "P") + std::to_string(exponent);
+      text += rng() % 2 ? 'p' : 'P';
+      text += std::to_string(exponent);
     }
     expect_parity(text);
   }

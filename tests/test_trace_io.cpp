@@ -430,7 +430,7 @@ TEST(TraceIo, CrlfLineEndingsAreRefused) {
   std::string content = canonical_file();
   for (std::size_t at = content.find('\n'); at != std::string::npos;
        at = content.find('\n', at + 2)) {
-    content.insert(at, "\r");
+    content.insert(at, 1, '\r');
   }
   const std::string what = mutated_error(content, "crlf");
   EXPECT_NE(what.find("format version 1\r is not supported"),
